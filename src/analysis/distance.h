@@ -11,6 +11,8 @@ namespace latgossip {
 
 /// Sentinel distance for unreachable nodes.
 constexpr Latency kUnreachable = static_cast<Latency>(1) << 60;
+static_assert(static_cast<Latency>(kInvalidNode) * kMaxLatency < kUnreachable,
+              "a path length plus one edge must stay below kUnreachable");
 
 /// Single-source shortest path distances with latencies as weights.
 std::vector<Latency> dijkstra(const WeightedGraph& g, NodeId source);
@@ -30,10 +32,13 @@ std::vector<Latency> bfs_hops(const WeightedGraph& g, NodeId source);
 /// graph is disconnected).
 Latency weighted_eccentricity(const WeightedGraph& g, NodeId source);
 
-/// Exact weighted diameter D: max over all pairs (n Dijkstra runs).
+/// Exact weighted diameter D: max over all pairs of the distance
+/// (kUnreachable if the graph is disconnected). Runs Dijkstra from a
+/// subset of the nodes, pruned by eccentricity bounds (DESIGN.md
+/// "Analysis: exact diameter").
 Latency weighted_diameter(const WeightedGraph& g);
 
-/// Exact hop diameter D_hop.
+/// Exact hop diameter D_hop: the same routine with unit weights.
 Latency hop_diameter(const WeightedGraph& g);
 
 /// Double-sweep lower bound on the weighted diameter: repeat `sweeps`

@@ -19,7 +19,7 @@ EdgeId GraphBuilder::add_edge(NodeId u, NodeId v, Latency latency) {
   check_node(u);
   check_node(v);
   if (u == v) throw std::invalid_argument("self-loops are not allowed");
-  if (latency < 1) throw std::invalid_argument("latency must be >= 1");
+  check_latency(latency);
   const auto k = key(u, v);
   if (edge_index_.count(k) != 0)
     throw std::invalid_argument("duplicate edge");
@@ -40,7 +40,7 @@ std::optional<EdgeId> GraphBuilder::find_edge(NodeId u, NodeId v) const {
 
 void GraphBuilder::set_latency(EdgeId e, Latency latency) {
   if (e >= edges_.size()) throw std::out_of_range("edge id out of range");
-  if (latency < 1) throw std::invalid_argument("latency must be >= 1");
+  check_latency(latency);
   edges_[e].latency = latency;
 }
 
@@ -130,7 +130,7 @@ void StreamingCsrBuilder::fill_edge(NodeId u, NodeId v, Latency latency) {
   if (stage_ != Stage::kFilling)
     throw std::logic_error("fill_edge before finish_count");
   check_edge_nodes(u, v);
-  if (latency < 1) throw std::invalid_argument("latency must be >= 1");
+  check_latency(latency);
   if (num_edges_ == counted_edges_)
     throw std::invalid_argument(
         "streaming pass 2 emitted more edges than pass 1");

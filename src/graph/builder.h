@@ -3,10 +3,11 @@
 //
 // GraphBuilder is the only way to make a graph with edges: it accepts
 // add_edge() in any order, validates eagerly (self-loops, out-of-range
-// endpoints, duplicate edges in either orientation, latency < 1 — each
-// throws std::invalid_argument / std::out_of_range and leaves the
-// builder unchanged), and build() freezes the accumulated edge list
-// into the immutable CSR WeightedGraph (graph.h).
+// endpoints, duplicate edges in either orientation, latency outside
+// [1, kMaxLatency] — each throws std::invalid_argument /
+// std::out_of_range and leaves the builder unchanged), and build()
+// freezes the accumulated edge list into the immutable CSR
+// WeightedGraph (graph.h).
 //
 // Edge ids are assigned in insertion order and survive build()
 // unchanged — constructions that encode meaning in edge ids (the
@@ -44,7 +45,8 @@ class GraphBuilder {
 
   /// Add undirected edge {u, v} with the given latency.
   /// Throws on self-loops, out-of-range endpoints, duplicate edges, or
-  /// latency < 1. Returns the new edge's id (== insertion index).
+  /// a latency check_latency rejects. Returns the new edge's id
+  /// (== insertion index).
   EdgeId add_edge(NodeId u, NodeId v, Latency latency = 1);
 
   /// Edge id of {u, v} if already added (O(1) hash probe — generators
@@ -53,7 +55,8 @@ class GraphBuilder {
   bool has_edge(NodeId u, NodeId v) const { return find_edge(u, v).has_value(); }
 
   /// Re-assign the latency of an already-added edge (gadget builders
-  /// add first, reveal fast latencies after). Throws if latency < 1.
+  /// add first, reveal fast latencies after). Throws if check_latency
+  /// rejects `latency`.
   void set_latency(EdgeId e, Latency latency);
 
   /// Edges added so far, in insertion order (EdgeId == index).

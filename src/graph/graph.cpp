@@ -2,8 +2,19 @@
 
 #include <algorithm>
 #include <bit>
+#include <string>
 
 namespace latgossip {
+
+void check_latency(Latency latency) {
+  if (latency < 1)
+    throw std::invalid_argument("latency must be >= 1 (got " +
+                                std::to_string(latency) + ")");
+  if (latency > kMaxLatency)
+    throw std::invalid_argument("latency must be <= " +
+                                std::to_string(kMaxLatency) + " (got " +
+                                std::to_string(latency) + ")");
+}
 
 WeightedGraph::WeightedGraph(std::size_t n) : offsets_(n + 1, 0) {
   if (n > static_cast<std::size_t>(kInvalidNode))
@@ -19,7 +30,7 @@ NodeId WeightedGraph::other_endpoint(EdgeId e, NodeId u) const {
 
 void WeightedGraph::set_latency(EdgeId e, Latency latency) {
   check_edge(e);
-  if (latency < 1) throw std::invalid_argument("latency must be >= 1");
+  check_latency(latency);
   edges_[e].latency = latency;
 }
 

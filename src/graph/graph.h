@@ -43,6 +43,17 @@ using Round = std::int64_t;
 constexpr NodeId kInvalidNode = static_cast<NodeId>(-1);
 constexpr EdgeId kInvalidEdge = static_cast<EdgeId>(-1);
 
+/// Largest accepted edge latency, 2^28. A simple path has at most
+/// 2^32 - 2 edges, so every path length, and a path length plus one
+/// more edge, stays below 2^60 (analysis' kUnreachable sentinel).
+constexpr Latency kMaxLatency = Latency{1} << 28;
+
+/// Throws std::invalid_argument unless 1 <= latency <= kMaxLatency. The
+/// one latency check of every input site: GraphBuilder,
+/// StreamingCsrBuilder, WeightedGraph::set_latency, and read_graph
+/// through GraphBuilder::add_edge.
+void check_latency(Latency latency);
+
 /// One direction of an undirected edge, as seen from the owning node.
 struct HalfEdge {
   NodeId to = kInvalidNode;
@@ -105,8 +116,9 @@ class WeightedGraph {
   NodeId other_endpoint(EdgeId e, NodeId u) const;
 
   /// Mutate the latency of an existing edge (used by gadget reveal and
-  /// by latency-model application). Throws if latency < 1. Topology is
-  /// immutable; latency is the one post-build mutable attribute.
+  /// by latency-model application). Throws if check_latency rejects
+  /// `latency`. Topology is immutable; latency is the one post-build
+  /// mutable attribute.
   void set_latency(EdgeId e, Latency latency);
 
   /// Edge id of {u, v} if present: binary search in the smaller

@@ -73,14 +73,12 @@ WeightedGraph read_graph(std::istream& in) {
     if (!(in >> u >> v >> latency)) fail("truncated edge list" + at);
     if (u < 0 || v < 0) fail("negative node id" + at);
     if (u >= n || v >= n) fail("edge endpoint out of range" + at);
-    if (latency < 1)
-      fail("latency must be >= 1" + at + " (got " +
-           std::to_string(latency) + ")");
     try {
       b.add_edge(static_cast<NodeId>(u), static_cast<NodeId>(v), latency);
     } catch (const std::exception& e) {
-      // Self-loops and duplicate edges, rejected by the builder —
-      // re-thrown with the offending edge's position attached.
+      // Out-of-range latencies, self-loops and duplicate edges, rejected
+      // by the builder — re-thrown with the offending edge's position
+      // attached.
       fail(std::string(e.what()) + at);
     }
   }

@@ -7,6 +7,8 @@
 //   <num_nodes> <num_edges>
 //   <u> <v> <latency>        (one line per edge, in edge-id order)
 //
+// Latencies must lie in [1, kMaxLatency] (graph.h check_latency).
+//
 // Edge ids are preserved by round-tripping (edges are written and read
 // in insertion order), which matters for gadget bookkeeping that
 // addresses edges by id.

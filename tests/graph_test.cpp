@@ -53,6 +53,16 @@ TEST(GraphBuilder, RejectsBadLatency) {
   EXPECT_THROW(b.add_edge(0, 1, -3), std::invalid_argument);
 }
 
+TEST(GraphBuilder, RejectsLatencyAboveMax) {
+  GraphBuilder b(3);
+  EXPECT_THROW(b.add_edge(0, 1, kMaxLatency + 1), std::invalid_argument);
+  EXPECT_EQ(b.num_edges(), 0u);  // rejected edges leave no trace
+  const EdgeId e = b.add_edge(0, 1, kMaxLatency);
+  EXPECT_THROW(b.set_latency(e, kMaxLatency + 1), std::invalid_argument);
+  EXPECT_THROW(b.add_edge(1, 2, Latency{1} << 61), std::invalid_argument);
+  EXPECT_EQ(b.build().latency(e), kMaxLatency);
+}
+
 TEST(GraphBuilder, RejectsOutOfRangeEndpoint) {
   GraphBuilder b(2);
   EXPECT_THROW(b.add_edge(0, 2), std::out_of_range);
@@ -120,6 +130,10 @@ TEST(WeightedGraph, SetLatencyMutates) {
   g.set_latency(e, 9);
   EXPECT_EQ(g.latency(e), 9);
   EXPECT_THROW(g.set_latency(e, 0), std::invalid_argument);
+  EXPECT_THROW(g.set_latency(e, kMaxLatency + 1), std::invalid_argument);
+  EXPECT_EQ(g.latency(e), 9);
+  g.set_latency(e, kMaxLatency);
+  EXPECT_EQ(g.latency(e), kMaxLatency);
 }
 
 TEST(WeightedGraph, DegreeAndLatencyExtremes) {

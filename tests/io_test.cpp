@@ -102,6 +102,20 @@ TEST(GraphIo, RejectsBadLatencies) {
             std::string::npos);
 }
 
+TEST(GraphIo, RejectsLatencyAboveMax) {
+  // 2^61: before the cap, this connected graph parsed and its weighted
+  // diameter came out as kUnreachable.
+  const std::string huge = parse_error(
+      "latgossip-graph 1\n2 1\n0 1 2305843009213693952\n");
+  EXPECT_NE(huge.find("latency must be <= " + std::to_string(kMaxLatency)),
+            std::string::npos)
+      << huge;
+  EXPECT_NE(huge.find("at edge 0"), std::string::npos) << huge;
+  const WeightedGraph g = graph_from_string(
+      "latgossip-graph 1\n2 1\n0 1 " + std::to_string(kMaxLatency) + "\n");
+  EXPECT_EQ(g.latency(0), kMaxLatency);
+}
+
 TEST(GraphIo, RejectsNegativeIdsAndSizes) {
   EXPECT_NE(parse_error("latgossip-graph 1\n-2 1\n0 1 1\n")
                 .find("negative size"),

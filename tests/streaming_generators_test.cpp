@@ -69,6 +69,7 @@ TEST(StreamingCsrBuilder, ValidatesEagerly) {
   EXPECT_THROW(b.count_edge(1, 2), std::logic_error);  // after finish_count
   EXPECT_THROW(b.finish_count(), std::logic_error);
   EXPECT_THROW(b.fill_edge(0, 1, 0), std::invalid_argument);  // latency < 1
+  EXPECT_THROW(b.fill_edge(0, 1, kMaxLatency + 1), std::invalid_argument);
 }
 
 TEST(StreamingCsrBuilder, RejectsDuplicateEdges) {
