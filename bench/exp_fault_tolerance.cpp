@@ -84,7 +84,6 @@ int main(int argc, char** argv) {
         plan.apply(opts);
         opts.max_rounds = 20'000;  // far beyond the lossless ~10 rounds
         run_gossip(g, proto, opts);
-        plan.detach(opts);  // the plan is re-applied below
         std::size_t informed = 0, alive = 0;
         for (NodeId v = 0; v < n; ++v) {
           if (plan.crashed(v, 1'000'000'000)) continue;

@@ -11,6 +11,7 @@
 #include "graph/generators.h"
 #include "graph/latency_models.h"
 #include "sim/engine.h"
+#include "sim/faults.h"
 #include "sim/parallel.h"
 
 using namespace latgossip;
@@ -31,27 +32,24 @@ static void BM_PushPullBroadcast(benchmark::State& state) {
 }
 BENCHMARK(BM_PushPullBroadcast)->Range(64, 4096);
 
-// Same workload with a no-op observer installed: forces the dynamic
-// hook path, so the gap to BM_PushPullBroadcast is the cost the NoHooks
-// compile-time policy removes from hook-free runs.
+// Same workload with an empty fault plan installed: forces the hooked
+// engine path, so the gap to BM_PushPullBroadcast is the cost the
+// NoHooks compile-time policy removes from plain runs.
 static void BM_PushPullBroadcastHooked(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng grng(1);
   auto g = make_erdos_renyi(n, 8.0 / static_cast<double>(n), grng);
   assign_random_uniform_latency(g, 1, 8, grng);
   std::uint64_t seed = 0;
-  std::size_t activations = 0;
+  const FaultPlan no_faults(n);
   for (auto _ : state) {
     NetworkView view(g, false);
     PushPullBroadcast proto(view, 0, Rng(++seed));
     SimOptions opts;
     opts.max_rounds = 1'000'000;
-    opts.on_activation = [&](NodeId, NodeId, EdgeId, Round) {
-      ++activations;
-    };
+    no_faults.apply(opts);
     benchmark::DoNotOptimize(run_gossip(g, proto, opts).rounds);
   }
-  benchmark::DoNotOptimize(activations);
 }
 BENCHMARK(BM_PushPullBroadcastHooked)->Range(64, 4096);
 

@@ -37,6 +37,7 @@
 #include "obs/metrics.h"
 #include "sim/dynamics.h"
 #include "sim/engine.h"
+#include "sim/faults.h"
 #include "sim/freshness.h"
 #include "sim/parallel.h"
 #include "store/server.h"
@@ -480,7 +481,7 @@ int main(int argc, char** argv) {
   {
     const WeightedGraph g = bench_graph(big_n);
     std::uint64_t seed = 0;
-    std::size_t sink = 0;
+    const FaultPlan no_faults(g.num_nodes());
     cases.push_back(make_case(
         "pushpull_broadcast_" + std::to_string(big_n) + "_hooked",
         [&] {
@@ -488,7 +489,7 @@ int main(int argc, char** argv) {
           PushPullBroadcast proto(view, 0, Rng(++seed));
           SimOptions opts;
           opts.max_rounds = 1'000'000;
-          opts.on_activation = [&](NodeId, NodeId, EdgeId, Round) { ++sink; };
+          no_faults.apply(opts);  // forces the hooked engine path
           (void)run_gossip(g, proto, opts);
         },
         repeats));

@@ -226,6 +226,10 @@ bool case_valid(const TestCase& tc) {
   if (tc.num_nodes == 0) return false;
   if (tc.source >= tc.num_nodes) return false;
   if (tc.tk_estimate < 1) return false;
+  // FaultPlan::crash_random_nodes spares the source, so it needs one
+  // more node than it crashes; the shrinker's node removal can break
+  // that.
+  if (tc.faults.crash_count >= tc.num_nodes) return false;
   // Composite protocols own their SimOptions internally, so every
   // engine-model knob must stay off for them — enforced here (not by
   // generator convention alone) so a future case family can't silently

@@ -32,12 +32,14 @@ struct RunArtifacts {
   bool has_inform = false;
 };
 
-/// One simple-protocol execution. Engine and oracle sides each call this
-/// with their own identically-seeded protocol, fault plan, and jitter —
-/// stateful hooks cannot be shared across runs (the drop hook consumes
-/// its RNG per call, so the second run would see a different stream).
+/// One simple-protocol run, rumor sets held in representation R. The
+/// engine and oracle sides call it with their own identically-seeded
+/// protocol and the case's one fault plan; the sparse and count
+/// representations rerun it on the engine and must reproduce the dense
+/// run's SimResult and event fingerprint bit for bit.
+template <RumorSetRep R = Bitset>
 RunArtifacts run_simple_once(const TestCase& tc, const WeightedGraph& g,
-                             bool use_oracle,
+                             const FaultPlan& plan, bool use_oracle,
                              const oracle_detail::ModelBug& bug) {
   RunArtifacts a;
   SimOptions opts;
@@ -45,18 +47,10 @@ RunArtifacts run_simple_once(const TestCase& tc, const WeightedGraph& g,
   opts.blocking = tc.blocking;
   opts.max_incoming_per_round = tc.max_incoming_per_round;
   opts.recorder = &a.recorder;
-
-  FaultPlan plan(tc.num_nodes, tc.seed ^ kFaultSeedSalt);
-  if (tc.faults.crash_count > 0)
-    plan.crash_random_nodes(tc.faults.crash_count, tc.faults.crash_round,
-                            tc.source);
-  if (tc.faults.drop_probability > 0.0)
-    plan.set_link_drop_probability(tc.faults.drop_probability);
   if (tc.faults.any()) plan.apply(opts);
-  if (tc.jitter_spread > 0)
-    opts.latency_jitter =
-        make_uniform_jitter(tc.jitter_spread, tc.seed ^ kJitterSeedSalt);
-  // Each side builds its own DynamicPlan from the same spec: the
+  opts.latency_jitter =
+      make_uniform_jitter(tc.jitter_spread, tc.seed ^ kJitterSeedSalt);
+  // Each run builds its own DynamicPlan from the same spec: the
   // adversary's touched set and the drift caches are per-run state, and
   // the oracle side only ever reads the declarative spec() anyway.
   std::optional<DynamicPlan> dyn_plan;
@@ -86,25 +80,24 @@ RunArtifacts run_simple_once(const TestCase& tc, const WeightedGraph& g,
       break;
     }
     case CheckProto::kFlooding: {
-      RoundRobinFlooding proto(view, GossipGoal::kSingleSource, tc.source,
-                               own_id_rumors(tc.num_nodes));
+      BasicRoundRobinFlooding<R> proto(view, GossipGoal::kSingleSource,
+                                       tc.source,
+                                       own_id_rumor_sets<R>(tc.num_nodes));
       a.result = drive(proto);
       break;
     }
     // Rumor-set goals exercise the copy-on-write snapshot payload path
     // (util/snapshot.h) against the oracle's naive deep-copy captures —
     // any stale or aliased snapshot shows up as a divergence here.
-    case CheckProto::kGossipAllToAll: {
-      PushPullGossip proto(view, GossipGoal::kAllToAll, tc.source,
-                           PushPullGossip::own_id_rumors(tc.num_nodes),
-                           Rng(tc.seed));
-      a.result = drive(proto);
-      break;
-    }
+    case CheckProto::kGossipAllToAll:
     case CheckProto::kGossipLocal: {
-      PushPullGossip proto(view, GossipGoal::kLocalBroadcast, tc.source,
-                           PushPullGossip::own_id_rumors(tc.num_nodes),
-                           Rng(tc.seed));
+      BasicPushPullGossip<R> proto(view,
+                                   tc.proto == CheckProto::kGossipAllToAll
+                                       ? GossipGoal::kAllToAll
+                                       : GossipGoal::kLocalBroadcast,
+                                   tc.source,
+                                   own_id_rumor_sets<R>(tc.num_nodes),
+                                   Rng(tc.seed));
       a.result = drive(proto);
       break;
     }
@@ -121,68 +114,6 @@ bool proto_carries_rumor_sets(CheckProto proto) {
   return proto == CheckProto::kFlooding ||
          proto == CheckProto::kGossipAllToAll ||
          proto == CheckProto::kGossipLocal;
-}
-
-/// Engine-only rerun of a rumor-set case under representation R, with
-/// the identical seeds, fault plan, and jitter as run_simple_once. The
-/// cross-representation half of the differential contract: every
-/// representation must reproduce the dense run's SimResult and event
-/// fingerprint bit for bit.
-template <RumorSetRep R>
-SimResult run_rumor_rep_once(const TestCase& tc, const WeightedGraph& g) {
-  EventRecorder recorder;
-  SimOptions opts;
-  opts.max_rounds = tc.max_rounds;
-  opts.blocking = tc.blocking;
-  opts.max_incoming_per_round = tc.max_incoming_per_round;
-  opts.recorder = &recorder;
-
-  FaultPlan plan(tc.num_nodes, tc.seed ^ kFaultSeedSalt);
-  if (tc.faults.crash_count > 0)
-    plan.crash_random_nodes(tc.faults.crash_count, tc.faults.crash_round,
-                            tc.source);
-  if (tc.faults.drop_probability > 0.0)
-    plan.set_link_drop_probability(tc.faults.drop_probability);
-  if (tc.faults.any()) plan.apply(opts);
-  if (tc.jitter_spread > 0)
-    opts.latency_jitter =
-        make_uniform_jitter(tc.jitter_spread, tc.seed ^ kJitterSeedSalt);
-  std::optional<DynamicPlan> dyn_plan;
-  if (tc.dynamics.any()) {
-    dyn_plan.emplace(tc.num_nodes, g.num_edges(), tc.dynamics);
-    dyn_plan->apply(opts);
-  }
-
-  NetworkView view(g, /*latencies_known=*/false);
-  SimResult result;
-  switch (tc.proto) {
-    case CheckProto::kFlooding: {
-      BasicRoundRobinFlooding<R> proto(view, GossipGoal::kSingleSource,
-                                       tc.source,
-                                       own_id_rumor_sets<R>(tc.num_nodes));
-      result = run_gossip(g, proto, opts);
-      break;
-    }
-    case CheckProto::kGossipAllToAll: {
-      BasicPushPullGossip<R> proto(view, GossipGoal::kAllToAll, tc.source,
-                                   own_id_rumor_sets<R>(tc.num_nodes),
-                                   Rng(tc.seed));
-      result = run_gossip(g, proto, opts);
-      break;
-    }
-    case CheckProto::kGossipLocal: {
-      BasicPushPullGossip<R> proto(view, GossipGoal::kLocalBroadcast,
-                                   tc.source,
-                                   own_id_rumor_sets<R>(tc.num_nodes),
-                                   Rng(tc.seed));
-      result = run_gossip(g, proto, opts);
-      break;
-    }
-    default:
-      throw std::logic_error("run_rumor_rep_once: not a rumor-set protocol");
-  }
-  result.fingerprint = recorder.fingerprint();
-  return result;
 }
 
 template <typename T>
@@ -230,8 +161,17 @@ void apply_invariants(DiffReport& rep, const InvariantInput& in,
 DiffReport diff_simple(const TestCase& tc, const WeightedGraph& g,
                        const oracle_detail::ModelBug& bug) {
   DiffReport rep;
-  const RunArtifacts engine = run_simple_once(tc, g, /*use_oracle=*/false, {});
-  const RunArtifacts oracle = run_simple_once(tc, g, /*use_oracle=*/true, bug);
+  // One fault plan for every run of the case: runs only read it.
+  FaultPlan plan(tc.num_nodes, tc.seed ^ kFaultSeedSalt);
+  if (tc.faults.crash_count > 0)
+    plan.crash_random_nodes(tc.faults.crash_count, tc.faults.crash_round,
+                            tc.source);
+  if (tc.faults.drop_probability > 0.0)
+    plan.set_link_drop_probability(tc.faults.drop_probability);
+  const RunArtifacts engine =
+      run_simple_once(tc, g, plan, /*use_oracle=*/false, {});
+  const RunArtifacts oracle =
+      run_simple_once(tc, g, plan, /*use_oracle=*/true, bug);
   rep.engine_result = engine.result;
   rep.oracle_result = oracle.result;
   rep.engine_fingerprint = engine.result.fingerprint;
@@ -242,10 +182,12 @@ DiffReport diff_simple(const TestCase& tc, const WeightedGraph& g,
   // and counting representations; both must match the dense engine run
   // exactly (same SimResult, same event fingerprint).
   if (proto_carries_rumor_sets(tc.proto)) {
-    compare_rep_results(rep, "sparse", engine.result,
-                        run_rumor_rep_once<SparseRumorSet>(tc, g));
-    compare_rep_results(rep, "count", engine.result,
-                        run_rumor_rep_once<CountRumorSet>(tc, g));
+    compare_rep_results(
+        rep, "sparse", engine.result,
+        run_simple_once<SparseRumorSet>(tc, g, plan, false, {}).result);
+    compare_rep_results(
+        rep, "count", engine.result,
+        run_simple_once<CountRumorSet>(tc, g, plan, false, {}).result);
   }
 
   for (const RunArtifacts* side : {&engine, &oracle}) {

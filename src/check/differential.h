@@ -9,12 +9,13 @@
 // by run_gossip() vs run_gossip_oracle() directly. Composite algorithms
 // (unified, EID, T(k)) are run end-to-end twice, the second time under a
 // ScopedOracleEngine so every internal dispatch_gossip() lands on the
-// oracle; because both engines consume protocol and fault randomness in
-// exactly the same order when they conform, whole-composite outcomes
-// must match bit for bit.
+// oracle; because both engines consume protocol randomness in exactly
+// the same order when they conform, whole-composite outcomes must match
+// bit for bit.
 //
-// Stateful hooks (FaultPlan's drop RNG, jitter's RNG) cannot be shared
-// across the two runs; each side gets its own identically-seeded copy.
+// Faults and jitter are data (sim/faults.h): each case builds one
+// FaultPlan, which both sides read — the engine through FaultPlan's own
+// methods, the oracle through its independent interpreters.
 
 #include <cstdint>
 #include <string>

@@ -41,7 +41,6 @@
 #include "sim/freshness.h"
 #include "sim/metrics.h"
 #include "sim/parallel.h"
-#include "sim/trace.h"
 
 // Algorithms
 #include "core/dtg.h"

@@ -17,10 +17,10 @@
 //  * bounded in-degree (Conclusion, citing Daum et al.): a cap on how
 //    many incoming initiations a node accepts per round;
 //  * node crashes and lossy links (Conclusion: "push-pull is relatively
-//    robust to failures, while our other approaches are not") — see
-//    sim/faults.h;
-//  * latency jitter (footnote 1: "due to fluctuations in network
-//    quality ... a node cannot necessarily predict the latency").
+//    robust to failures, while our other approaches are not") and
+//    latency jitter (footnote 1: "due to fluctuations in network
+//    quality ... a node cannot necessarily predict the latency") — both
+//    declarative data, see sim/faults.h.
 //
 // The engine is generic over a Protocol type (duck-typed, checked by the
 // GossipProtocol concept below) so payloads stay strongly typed and
@@ -31,10 +31,11 @@
 //    buckets covering the latency horizon; buckets are cleared but
 //    never deallocated between rounds, so steady state allocates
 //    nothing;
-//  * the four std::function hooks are hoisted out of the per-event loop
-//    by a compile-time policy: run_gossip() dispatches to a NoHooks
-//    instantiation when no hook is installed and to the dynamic path
-//    otherwise, so hook-free runs pay zero test-and-branch per event;
+//  * the optional channels (faults, jitter, recorder, dynamics) are
+//    hoisted out of the per-event loop by a compile-time policy:
+//    run_gossip() dispatches to a NoHooks instantiation when none is set
+//    and to the hooked path otherwise, so plain runs pay zero
+//    test-and-branch per event;
 //  * protocols that already know which half-edge they picked can return
 //    a Contact{node, edge} and skip the per-activation find_edge() hash
 //    lookup; the plain NodeId return stays supported;
@@ -47,7 +48,6 @@
 #include <algorithm>
 #include <concepts>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -57,6 +57,7 @@
 #include "graph/graph.h"
 #include "obs/recorder.h"
 #include "sim/dynamics_spec.h"
+#include "sim/faults.h"
 #include "sim/metrics.h"
 #include "sim/workspace.h"
 
@@ -235,14 +236,11 @@ class DynamicsHook {
   virtual std::span<const NodeId> resets_at(Round r) const = 0;
 };
 
-/// Observer lifetime contract: every hook below (and the recorder
-/// pointer) references state owned by its installer — a SimTrace, a
-/// FaultPlan, an EventRecorder, or a capturing lambda. The owner must
-/// outlive every run_gossip() call made with these options. If an
-/// observer dies first, call reset_observers() before reusing the
-/// options object; SimTrace asserts (debug builds) when it is
-/// re-attached without being cleared, which catches the most common
-/// reuse-after-move footgun.
+/// Observer lifetime contract: the faults, recorder and dynamics
+/// pointers below reference state owned by the caller — a FaultPlan, an
+/// EventRecorder, a DynamicPlan. The owner must outlive every
+/// run_gossip() call made with these options. If one dies first, call
+/// reset_observers() before reusing the options object.
 struct SimOptions {
   Round max_rounds = 1'000'000;
   /// Stop (as incomplete) once no exchange is in flight and no node
@@ -256,22 +254,16 @@ struct SimOptions {
   /// Cap on accepted incoming initiations per node per round; excess
   /// exchanges fail entirely (neither side receives anything). 0 = off.
   std::size_t max_incoming_per_round = 0;
-  /// Observer invoked at every edge activation (initiator, responder,
-  /// edge, round); the guessing-game reduction (Lemma 3) listens here.
-  std::function<void(NodeId, NodeId, EdgeId, Round)> on_activation;
-  /// Fault hooks (see sim/faults.h for a convenient builder):
-  /// crashed nodes neither initiate nor receive from their crash round.
-  std::function<bool(NodeId, Round)> is_crashed;
-  /// Per-delivery loss: drop the payload traveling to `to` from `from`.
-  std::function<bool(NodeId to, NodeId from, EdgeId, Round start, Round now)>
-      drop_delivery;
-  /// Per-exchange latency override (jitter). Receives the edge and its
-  /// nominal latency; the result is clamped to >= 1.
-  std::function<Latency(EdgeId, Latency)> latency_jitter;
+  /// Crashes and link loss (sim/faults.h): crashed nodes neither
+  /// initiate nor receive from their crash round; each delivery leg is
+  /// lost by the plan's hashed draw. Not owned; FaultPlan::apply() sets it.
+  const FaultPlan* faults = nullptr;
+  /// Per-exchange latency jitter (sim/faults.h); spread 0 = off.
+  LatencyJitter latency_jitter;
   /// Structured event recorder (obs/recorder.h): activations,
-  /// deliveries, and drops are appended through this raw pointer — no
-  /// std::function hop. Not owned; must outlive the run. One recorder
-  /// per concurrent trial (the recorder is not thread-safe).
+  /// deliveries, and drops are appended through this raw pointer. Not
+  /// owned; must outlive the run. One recorder per concurrent trial
+  /// (the recorder is not thread-safe).
   EventRecorder* recorder = nullptr;
   /// Reusable per-thread scratch (sim/workspace.h). When set, the engine
   /// keeps its calendar-queue state in a workspace slot instead of run-
@@ -287,29 +279,27 @@ struct SimOptions {
   /// the run. DynamicPlan::apply() installs it.
   DynamicsHook* dynamics = nullptr;
 
-  /// True iff any dynamic hook (or the recorder) is installed;
-  /// hook-free runs take the compile-time NoHooks fast path through the
+  /// True iff faults, jitter, the recorder or dynamics are set;
+  /// otherwise runs take the compile-time NoHooks fast path through the
   /// event loop.
   bool any_hooks() const {
-    return static_cast<bool>(on_activation) || static_cast<bool>(is_crashed) ||
-           static_cast<bool>(drop_delivery) ||
-           static_cast<bool>(latency_jitter) || recorder != nullptr ||
-           dynamics != nullptr;
+    return faults != nullptr || latency_jitter.active() ||
+           recorder != nullptr || dynamics != nullptr;
   }
 
-  /// Detach every observer: clears all four hooks, the recorder
-  /// pointer, and the dynamics hook. Call when an installed observer's
-  /// owner may die before the next run_gossip() with this options
+  /// Clear faults, jitter, the recorder and dynamics. Call when one of
+  /// their owners may die before the next run_gossip() with this options
   /// object.
   void reset_observers() {
-    on_activation = nullptr;
-    is_crashed = nullptr;
-    drop_delivery = nullptr;
-    latency_jitter = nullptr;
+    faults = nullptr;
+    latency_jitter = {};
     recorder = nullptr;
     dynamics = nullptr;
   }
 };
+
+inline void FaultPlan::apply(SimOptions& opts) const { opts.faults = this; }
+inline void FaultPlan::detach(SimOptions& opts) const { opts.faults = nullptr; }
 
 namespace detail {
 
@@ -427,9 +417,10 @@ inline void reset_protocol_node(P& proto, NodeId u, Round r) {
 }
 
 /// Engine core, instantiated twice per protocol: kHooked=false elides
-/// every std::function test from the loops; kHooked=true is the fully
-/// dynamic path. Both produce bit-identical results for the same seed
-/// when no hook alters behavior (covered by engine_test).
+/// every fault / jitter / recorder / dynamics test from the loops;
+/// kHooked=true is the fully dynamic path. Both produce bit-identical
+/// results for the same seed when nothing alters behavior (covered by
+/// engine_test).
 template <bool kHooked, typename P>
 SimResult run_gossip_impl(const WeightedGraph& g, P& proto,
                           const SimOptions& opts) {
@@ -443,6 +434,8 @@ SimResult run_gossip_impl(const WeightedGraph& g, P& proto,
       kHooked ? opts.recorder : nullptr;
   [[maybe_unused]] DynamicsHook* const dynamics =
       kHooked ? opts.dynamics : nullptr;
+  [[maybe_unused]] const FaultPlan* const faults =
+      kHooked ? opts.faults : nullptr;
   SimResult result;
   if (n == 0) {
     result.completed = proto.done(0);
@@ -531,18 +524,17 @@ SimResult run_gossip_impl(const WeightedGraph& g, P& proto,
           if (outstanding[d.to] > 0) --outstanding[d.to];
         }
         if constexpr (kHooked) {
-          // Churn absence folds into the crash flag BEFORE the loss
-          // hook is consulted, so drop_delivery's RNG draw count stays
-          // identical between the engine and the oracle.
+          // Churn absence counts as a crash; a crash-drop is never also
+          // reported as a link drop.
           const bool crashed =
-              (opts.is_crashed && opts.is_crashed(d.to, r)) ||
-              (opts.is_crashed && opts.is_crashed(d.from, r)) ||
+              (faults &&
+               (faults->crashed(d.to, r) || faults->crashed(d.from, r))) ||
               (dynamics &&
                (dynamics->absent(d.to, r) || dynamics->absent(d.from, r)));
           const bool dropped =
               crashed ||
-              (opts.drop_delivery &&
-               opts.drop_delivery(d.to, d.from, d.edge, d.start, r));
+              (faults && faults->drops(d.to_initiator ? d.to : d.from,
+                                       d.start, d.to_initiator));
           if (dropped) {
             ++result.messages_dropped;
             if (recorder)
@@ -574,7 +566,7 @@ SimResult run_gossip_impl(const WeightedGraph& g, P& proto,
     bool any_selected = false;
     for (NodeId u = 0; u < n; ++u) {
       if constexpr (kHooked) {
-        if (opts.is_crashed && opts.is_crashed(u, r)) continue;
+        if (faults && faults->crashed(u, r)) continue;
         if (dynamics && dynamics->absent(u, r)) continue;
       }
       if (opts.blocking && outstanding[u] > 0) continue;
@@ -606,7 +598,6 @@ SimResult run_gossip_impl(const WeightedGraph& g, P& proto,
       any_selected = true;
       ++result.activations;
       if constexpr (kHooked) {
-        if (opts.on_activation) opts.on_activation(u, peer, edge, r);
         if (recorder) recorder->record_activation(u, peer, edge, r);
       }
 
@@ -623,9 +614,8 @@ SimResult run_gossip_impl(const WeightedGraph& g, P& proto,
       }
 
       if constexpr (kHooked) {
-        if (opts.latency_jitter) {
-          lat = opts.latency_jitter(edge, lat);
-          if (lat < 1) lat = 1;
+        if (opts.latency_jitter.active()) {
+          lat = opts.latency_jitter.jittered(lat, u, r);
           if (static_cast<std::size_t>(lat) > capacity)
             grow(static_cast<std::size_t>(lat) + 1);
         }
@@ -678,8 +668,8 @@ SimResult run_gossip_impl(const WeightedGraph& g, P& proto,
 /// endpoints of each completed exchange), (2) done() check, (3) contact
 /// selection in node-id order with payload snapshots taken immediately.
 ///
-/// Dispatches to a hook-free fast instantiation when no SimOptions hook
-/// is installed; both paths are semantically identical.
+/// Dispatches to the NoHooks fast instantiation when opts.any_hooks() is
+/// false; both paths are semantically identical.
 template <typename P>
   requires GossipProtocol<P>
 SimResult run_gossip(const WeightedGraph& g, P& proto,

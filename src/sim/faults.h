@@ -1,33 +1,67 @@
 #pragma once
-// Failure injection for the simulator (the paper's conclusion:
+// Failure injection and latency jitter as declarative data (Conclusion:
 // "push-pull is relatively robust to failures, while our other
-// approaches are not. An interesting direction would be to find tight
-// bounds and to develop robust fault-tolerant algorithms.").
+// approaches are not"; footnote 1: latencies fluctuate).
 //
-// A FaultPlan owns the random state and schedules; install it into
-// SimOptions with apply(). The plan must outlive every run_gossip()
-// call made with those options (the installed callbacks reference it) —
-// see the observer lifetime contract on SimOptions in sim/engine.h.
-// apply() asserts (debug builds) on re-apply without an intervening
-// detach(); detach() — or SimOptions::reset_observers() — removes the
-// hooks so the options object can safely outlive the plan.
+// A FaultPlan is a crash table, a link-loss probability and a seed; a
+// LatencyJitter is {spread, seed}. Runs consume no state from either:
+// every drop and jitter draw is a pure hash of the exchange, so the
+// engine (sim/engine.h) and the oracle (sim/oracle.cpp) derive them
+// with independent code and agree bit for bit. The contracts, with
+// mix(x, v) = splitmix64(x ^ v) (util/rng.h, on a local copy) and ids
+// and rounds widened to uint64:
+//
+// Crashes: u is crashed at round r iff crash_round(u) <= r. A crashed
+//   node initiates nothing; a delivery whose sender or receiver is
+//   crashed at its delivery round is a crash-drop. crash_random_nodes
+//   draws from Rng(seed) while the plan is built, never during a run.
+//
+// Drops (drop_probability() > 0): the exchange node i opens at round s
+//   has leg 0 (i's payload to the responder) and leg 1 (the responder's
+//   payload back to i). A leg that is not a crash-drop is lost iff
+//     h = mix(mix(mix(seed ^ 0xd6e8feb86659fd93, i), s), leg)
+//     (h >> 11) * 2^-53 < drop_probability.
+//   The key is the initiator, not (to, from, edge, start): when u and v
+//   open exchanges to each other in one round, u's push leg and v's
+//   response leg share the latter but must still draw independently.
+//
+// Jitter (spread > 0): both legs of the exchange i opens at round s
+//   take latency max(1, nominal + delta), where
+//     h = mix(mix(seed ^ 0xa0761d6478bd642f, i), s)
+//     delta = int64(h % (2 * spread + 1)) - spread,
+//   applied after in-degree admission and before dynamics
+//   (sim/dynamics_spec.h).
+//
+// FaultPlan::apply() points SimOptions::faults at the plan, which must
+// outlive every run made with those options; detach() (or
+// SimOptions::reset_observers()) clears it.
 
-#include <cassert>
-#include <functional>
+#include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <vector>
 
 #include "graph/graph.h"
-#include "sim/engine.h"
 #include "util/rng.h"
 
 namespace latgossip {
 
+struct SimOptions;
+
+namespace fault_detail {
+
+constexpr std::uint64_t mix(std::uint64_t x, std::uint64_t v) noexcept {
+  std::uint64_t s = x ^ v;
+  return splitmix64(s);
+}
+
+}  // namespace fault_detail
+
 class FaultPlan {
  public:
   explicit FaultPlan(std::size_t num_nodes, std::uint64_t seed = 0)
-      : crash_round_(num_nodes, kNever), rng_(seed) {}
+      : crash_round_(num_nodes, kNever), seed_(seed), rng_(seed) {}
 
   /// Node u stops initiating and receiving from round `at` on.
   void crash_node(NodeId u, Round at) {
@@ -59,29 +93,27 @@ class FaultPlan {
     drop_probability_ = p;
   }
 
+  std::uint64_t seed() const noexcept { return seed_; }
+  double drop_probability() const noexcept { return drop_probability_; }
+  Round crash_round(NodeId u) const { return crash_round_[u]; }
+
   bool crashed(NodeId u, Round r) const { return crash_round_[u] <= r; }
 
-  /// Install the hooks. The plan must outlive the simulation run.
-  /// Asserts (debug) if already applied: a second apply() usually means
-  /// a stale SimOptions still references this plan — detach() first.
-  void apply(SimOptions& opts) {
-    assert(!applied_ && "FaultPlan: apply() twice without detach()");
-    applied_ = true;
-    opts.is_crashed = [this](NodeId u, Round r) { return crashed(u, r); };
-    if (drop_probability_ > 0.0) {
-      opts.drop_delivery = [this](NodeId, NodeId, EdgeId, Round, Round) {
-        return rng_.bernoulli(drop_probability_);
-      };
-    }
+  /// Is leg `response_leg` of the exchange `initiator` opened at `start`
+  /// lost? (The drop contract above.)
+  bool drops(NodeId initiator, Round start, bool response_leg) const noexcept {
+    if (drop_probability_ <= 0.0) return false;
+    using fault_detail::mix;
+    const std::uint64_t h =
+        mix(mix(mix(seed_ ^ 0xd6e8feb86659fd93ULL, initiator),
+                static_cast<std::uint64_t>(start)),
+            response_leg ? 1 : 0);
+    return static_cast<double>(h >> 11) * 0x1.0p-53 < drop_probability_;
   }
 
-  /// Remove this plan's hooks from `opts`, making it safe for the
-  /// options to outlive the plan (and re-arming apply()).
-  void detach(SimOptions& opts) {
-    opts.is_crashed = nullptr;
-    opts.drop_delivery = nullptr;
-    applied_ = false;
-  }
+  /// Point `opts.faults` at this plan / clear it again (sim/engine.h).
+  void apply(SimOptions& opts) const;
+  void detach(SimOptions& opts) const;
 
   std::size_t num_crashed_by(Round r) const {
     std::size_t c = 0;
@@ -95,21 +127,37 @@ class FaultPlan {
 
   std::vector<Round> crash_round_;
   double drop_probability_ = 0.0;
-  Rng rng_;
-  bool applied_ = false;
+  std::uint64_t seed_;
+  Rng rng_;  ///< crash_random_nodes' stream, used only while building
 };
 
-/// Uniform latency jitter: each exchange's latency is the nominal value
-/// plus an integer uniform in [-spread, +spread], clamped to >= 1
-/// (footnote 1: latencies fluctuate with network quality). The returned
-/// callable owns its RNG; copy it into SimOptions::latency_jitter.
-inline std::function<Latency(EdgeId, Latency)> make_uniform_jitter(
-    Latency spread, std::uint64_t seed) {
-  if (spread < 0) throw std::invalid_argument("jitter: negative spread");
-  return [rng = Rng(seed), spread](EdgeId, Latency nominal) mutable {
-    const Latency delta = rng.uniform_int(-spread, spread);
+/// Uniform per-exchange latency jitter (the jitter contract above).
+struct LatencyJitter {
+  Latency spread = 0;
+  std::uint64_t seed = 0;
+
+  bool active() const noexcept { return spread > 0; }
+
+  /// Latency of the exchange `initiator` opens at `start` over an edge
+  /// of latency `nominal`.
+  Latency jittered(Latency nominal, NodeId initiator,
+                   Round start) const noexcept {
+    using fault_detail::mix;
+    const std::uint64_t h =
+        mix(mix(seed ^ 0xa0761d6478bd642fULL, initiator),
+            static_cast<std::uint64_t>(start));
+    const auto width = static_cast<std::uint64_t>(2 * spread + 1);
+    const Latency delta = static_cast<Latency>(h % width) - spread;
     return std::max<Latency>(1, nominal + delta);
-  };
+  }
+};
+
+/// Jitter each exchange's latency by an integer uniform in
+/// [-spread, +spread], clamped to >= 1. Assign the result to
+/// SimOptions::latency_jitter.
+inline LatencyJitter make_uniform_jitter(Latency spread, std::uint64_t seed) {
+  if (spread < 0) throw std::invalid_argument("jitter: negative spread");
+  return LatencyJitter{spread, seed};
 }
 
 }  // namespace latgossip

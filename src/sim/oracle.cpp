@@ -90,6 +90,40 @@ bool oracle_node_resets_at(const DynamicSpec& spec, NodeId u, Round r,
   return c.leaves && c.reset && r == c.leave + c.absence + absence_bias;
 }
 
+namespace {
+
+/// mix(x, v) of the sim/faults.h contracts: one splitmix64 step from
+/// state x ^ v.
+std::uint64_t contract_mix(std::uint64_t x, std::uint64_t v) {
+  std::uint64_t state = x ^ v;
+  return splitmix64(state);
+}
+
+}  // namespace
+
+bool oracle_leg_dropped(const FaultPlan& plan, NodeId initiator, Round start,
+                        bool response_leg) {
+  std::uint64_t h = plan.seed() ^ 0xd6e8feb86659fd93ULL;
+  for (const std::uint64_t key :
+       {std::uint64_t{initiator}, static_cast<std::uint64_t>(start),
+        std::uint64_t{response_leg}})
+    h = contract_mix(h, key);
+  // The top 53 bits as an integer against p scaled by 2^53: the same
+  // comparison as the contract's (h >> 11) * 2^-53 < p, both sides exact.
+  return static_cast<double>(h >> 11) < plan.drop_probability() * 0x1.0p53;
+}
+
+Latency oracle_jitter(const LatencyJitter& jitter, Latency nominal,
+                      NodeId initiator, Round start, bool flip) {
+  const std::uint64_t h = contract_mix(
+      contract_mix(jitter.seed ^ 0xa0761d6478bd642fULL, initiator),
+      static_cast<std::uint64_t>(start));
+  const auto choices = static_cast<std::uint64_t>(2 * jitter.spread + 1);
+  Latency delta = static_cast<Latency>(h % choices) - jitter.spread;
+  if (flip) delta = -delta;
+  return std::max<Latency>(1, nominal + delta);
+}
+
 }  // namespace oracle_detail
 
 }  // namespace latgossip

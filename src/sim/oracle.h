@@ -14,8 +14,11 @@
 //   bucketed by due round            re-scanned in full every round
 //   O(log deg) CSR find_edge /       linear walk of the adjacency
 //   Contact edge-record validation   slice for every resolution
-//   compile-time NoHooks fast path   every hook tested dynamically on
-//   + hoisted recorder pointer       every event, always
+//   compile-time NoHooks fast path   every option tested dynamically
+//   + hoisted recorder pointer       on every event, always
+//   FaultPlan::crashed / drops and   crash table read in place; drops
+//   LatencyJitter::jittered          and jitter re-hashed from the
+//                                    plan's data (sim/oracle.cpp)
 //   blocking via outstanding-        blocking via a linear scan of the
 //   exchange counters                in-flight list per initiation
 //   stamp-trick in-degree counters   per-round counter vector,
@@ -75,7 +78,8 @@ namespace oracle_detail {
 /// Deliberate model bugs, injectable ONLY by tests: the shrinker
 /// self-test (tests/shrink_test.cpp) plants a latency off-by-one here
 /// and asserts the check framework reduces the resulting divergence to
-/// a minimal counterexample. Never set outside tests.
+/// a minimal counterexample; the fault knobs prove the oracle judges
+/// crashes, drops and jitter with its own code. Never set outside tests.
 struct ModelBug {
   /// Added to every exchange's effective latency (clamped to >= 1).
   Latency latency_bias = 0;
@@ -88,10 +92,17 @@ struct ModelBug {
   bool freeze_drift = false;
   /// Extend every churned node's absence by this many rounds.
   Round churn_absence_bias = 0;
+  /// Apply every crash this many rounds late.
+  Round crash_lag = 0;
+  /// Key each link-drop draw on the exchange's other leg.
+  bool drop_other_leg = false;
+  /// Negate every jitter delta.
+  bool flip_jitter = false;
 
   bool any() const noexcept {
     return latency_bias != 0 || drop_initiator_leg || freeze_drift ||
-           churn_absence_bias != 0;
+           churn_absence_bias != 0 || crash_lag != 0 || drop_other_leg ||
+           flip_jitter;
   }
 };
 
@@ -116,6 +127,14 @@ bool oracle_node_absent(const DynamicSpec& spec, NodeId u, Round r,
                         Round absence_bias = 0);
 bool oracle_node_resets_at(const DynamicSpec& spec, NodeId u, Round r,
                            Round absence_bias = 0);
+
+/// Interpreters of the drop and jitter contracts (sim/faults.h), reading
+/// only the plan's data — never FaultPlan::drops or
+/// LatencyJitter::jittered. `flip` is a ModelBug knob.
+bool oracle_leg_dropped(const FaultPlan& plan, NodeId initiator, Round start,
+                        bool response_leg);
+Latency oracle_jitter(const LatencyJitter& jitter, Latency nominal,
+                      NodeId initiator, Round start, bool flip = false);
 
 }  // namespace oracle_detail
 
@@ -150,6 +169,12 @@ SimResult run_gossip_oracle(const WeightedGraph& g, P& proto,
 
   std::vector<Exchange> in_flight;
 
+  // Crashes read straight from the plan's crash table.
+  const FaultPlan* const faults = opts.faults;
+  auto crashed_at = [&](NodeId u, Round r) {
+    return faults && r - bug.crash_lag >= faults->crash_round(u);
+  };
+
   // Dynamic scenario: the oracle reads only the declarative spec and
   // interprets it with the independent brute-force helpers in
   // oracle_detail (sim/oracle.cpp) — never DynamicPlan's caches.
@@ -161,26 +186,25 @@ SimResult run_gossip_oracle(const WeightedGraph& g, P& proto,
     adv_touched[dyn->adv_source] = 1;
   }
 
-  // One delivery leg, replicating the engine's fault semantics exactly:
-  // a leg whose either endpoint has crashed by `now` — or is absent to
-  // churn — is a crash-drop; drop_delivery is consulted only for
-  // non-crashed legs (the hook may own random state, so call counts
-  // must match the engine's).
+  // One delivery leg: a leg whose either endpoint has crashed by `now`
+  // — or is absent to churn — is a crash-drop; any other leg is lost
+  // when its hashed drop draw says so. `response_leg` marks the leg
+  // travelling back to the initiator.
   auto deliver_leg = [&](NodeId to, NodeId from, EdgeId edge, Round started,
-                         Round now, typename P::Payload&& payload) {
-    bool crashed = false;
-    if (opts.is_crashed && opts.is_crashed(to, now)) crashed = true;
-    if (!crashed && opts.is_crashed && opts.is_crashed(from, now))
-      crashed = true;
+                         Round now, bool response_leg,
+                         typename P::Payload&& payload) {
+    bool crashed = crashed_at(to, now) || crashed_at(from, now);
     if (!crashed && dyn &&
         (oracle_detail::oracle_node_absent(*dyn, to, now,
                                            bug.churn_absence_bias) ||
          oracle_detail::oracle_node_absent(*dyn, from, now,
                                            bug.churn_absence_bias)))
       crashed = true;
-    bool dropped = crashed;
-    if (!dropped && opts.drop_delivery)
-      dropped = opts.drop_delivery(to, from, edge, started, now);
+    const bool dropped =
+        crashed ||
+        (faults && oracle_detail::oracle_leg_dropped(
+                       *faults, response_leg ? to : from, started,
+                       response_leg != bug.drop_other_leg));
     if (dropped) {
       ++result.messages_dropped;
       if (opts.recorder)
@@ -218,10 +242,10 @@ SimResult run_gossip_oracle(const WeightedGraph& g, P& proto,
           continue;
         }
         deliver_leg(x.responder, x.initiator, x.edge, x.started, r,
-                    std::move(x.to_responder));
+                    /*response_leg=*/false, std::move(x.to_responder));
         if (!bug.drop_initiator_leg)
           deliver_leg(x.initiator, x.responder, x.edge, x.started, r,
-                      std::move(x.to_initiator));
+                      /*response_leg=*/true, std::move(x.to_initiator));
       }
       in_flight = std::move(survivors);
     }
@@ -240,7 +264,7 @@ SimResult run_gossip_oracle(const WeightedGraph& g, P& proto,
         opts.max_incoming_per_round > 0 ? n : 0, 0);
     bool any_selected = false;
     for (NodeId u = 0; u < n; ++u) {
-      if (opts.is_crashed && opts.is_crashed(u, r)) continue;
+      if (crashed_at(u, r)) continue;
       if (dyn && oracle_detail::oracle_node_absent(*dyn, u, r,
                                                    bug.churn_absence_bias))
         continue;
@@ -276,7 +300,6 @@ SimResult run_gossip_oracle(const WeightedGraph& g, P& proto,
       }
       any_selected = true;
       ++result.activations;
-      if (opts.on_activation) opts.on_activation(u, peer, edge, r);
       if (opts.recorder) opts.recorder->record_activation(u, peer, edge, r);
 
       if (opts.max_incoming_per_round > 0 &&
@@ -286,10 +309,9 @@ SimResult run_gossip_oracle(const WeightedGraph& g, P& proto,
       }
 
       Latency lat = g.edge(edge).latency;
-      if (opts.latency_jitter) {
-        lat = opts.latency_jitter(edge, lat);
-        if (lat < 1) lat = 1;
-      }
+      if (opts.latency_jitter.spread > 0)
+        lat = oracle_detail::oracle_jitter(opts.latency_jitter, lat, u, r,
+                                           bug.flip_jitter);
       // Dynamics compose after jitter: drift (with its own >= 1 clamp),
       // then the adversarial frontier slowdown (see dynamics_spec.h).
       if (dyn && dyn->drift_active() && !bug.freeze_drift) {

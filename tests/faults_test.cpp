@@ -231,21 +231,29 @@ TEST(FaultPlan, CrashEveryoneButSourceAtRoundZeroStallsTheRun) {
 }
 
 TEST(FaultPlan, DropProbabilityExtremes) {
-  // p = 0.0 installs no drop hook at all: the run is loss-free and
-  // bit-identical to a run without the plan.
+  // p = 0.0 (and no crashes) leaves the run loss-free and bit-identical
+  // to a run without the plan, although the plan is installed.
   const auto g = make_clique(12);
   {
     NetworkView view(g, false);
+    PushPullBroadcast plain(view, 0, Rng(31));
+    SimOptions plain_opts;
+    plain_opts.max_rounds = 2000;
+    const SimResult expected = run_gossip(g, plain, plain_opts);
+
     PushPullBroadcast proto(view, 0, Rng(31));
     FaultPlan plan(12, 7);
     plan.set_link_drop_probability(0.0);
     SimOptions opts;
     plan.apply(opts);
-    EXPECT_FALSE(static_cast<bool>(opts.drop_delivery));
+    EXPECT_EQ(opts.faults, &plan);
     opts.max_rounds = 2000;
     const SimResult r = run_gossip(g, proto, opts);
     EXPECT_TRUE(r.completed);
     EXPECT_EQ(r.messages_dropped, 0u);
+    EXPECT_EQ(r, expected);
+    for (NodeId u = 0; u < 12; ++u)
+      EXPECT_EQ(proto.inform_round(u), plain.inform_round(u));
   }
   // p = 1.0 loses every payload: nothing is ever delivered, the source
   // stays alone, and every initiated exchange turns into drops.
@@ -270,27 +278,52 @@ TEST(FaultPlan, DetachReArmsApplyAndClearsHooks) {
   plan.set_link_drop_probability(0.5);
   SimOptions opts;
   plan.apply(opts);
-  EXPECT_TRUE(static_cast<bool>(opts.is_crashed));
-  EXPECT_TRUE(static_cast<bool>(opts.drop_delivery));
+  EXPECT_EQ(opts.faults, &plan);
+  EXPECT_TRUE(opts.any_hooks());
   plan.detach(opts);
-  EXPECT_FALSE(static_cast<bool>(opts.is_crashed));
-  EXPECT_FALSE(static_cast<bool>(opts.drop_delivery));
-  // detach() re-arms apply(): a second cycle works (the assert inside
-  // apply() would abort a debug build if the flag were stuck).
+  EXPECT_EQ(opts.faults, nullptr);
+  EXPECT_FALSE(opts.any_hooks());
+  // A second apply/detach cycle works the same way.
   plan.apply(opts);
-  EXPECT_TRUE(static_cast<bool>(opts.is_crashed));
+  EXPECT_EQ(opts.faults, &plan);
   plan.detach(opts);
+  EXPECT_EQ(opts.faults, nullptr);
+}
+
+TEST(FaultPlan, DropDrawsHitRatePAndKeyOnTheInitiator) {
+  // 40k hashed legs per p: the loss rate sits within 4 sigma of p.
+  for (double p : {0.1, 0.5, 0.9}) {
+    FaultPlan plan(100, 77);
+    plan.set_link_drop_probability(p);
+    std::size_t lost = 0;
+    for (NodeId i = 0; i < 100; ++i)
+      for (Round s = 0; s < 200; ++s)
+        lost += plan.drops(i, s, false) + plan.drops(i, s, true);
+    EXPECT_NEAR(static_cast<double>(lost) / 40'000.0, p, 0.01);
+  }
+  // When 0 and 1 open exchanges to each other in round s, two legs
+  // travel 0 -> 1 starting at s: 0's push (leg 0 of initiator 0) and
+  // 1's response (leg 1 of initiator 1). They share (to, from, edge,
+  // start) yet must draw independently: at p = 0.5 their fates differ
+  // in about half the rounds.
+  FaultPlan plan(2, 11);
+  plan.set_link_drop_probability(0.5);
+  int split = 0;
+  for (Round s = 0; s < 4000; ++s)
+    split += plan.drops(0, s, false) != plan.drops(1, s, true);
+  EXPECT_NEAR(split / 4000.0, 0.5, 0.05);
 }
 
 TEST(Jitter, UniformJitterStaysPositiveAndBounded) {
-  auto jitter = make_uniform_jitter(3, 41);
-  for (int i = 0; i < 1000; ++i) {
-    const Latency l = jitter(0, 5);
+  const LatencyJitter jitter = make_uniform_jitter(3, 41);
+  for (Round r = 0; r < 1000; ++r) {
+    const Latency l = jitter.jittered(5, static_cast<NodeId>(r % 7), r);
     EXPECT_GE(l, 2);
     EXPECT_LE(l, 8);
   }
-  auto tight = make_uniform_jitter(10, 43);
-  for (int i = 0; i < 1000; ++i) EXPECT_GE(tight(0, 2), 1);
+  const LatencyJitter tight = make_uniform_jitter(10, 43);
+  for (Round r = 0; r < 1000; ++r) EXPECT_GE(tight.jittered(2, 0, r), 1);
+  EXPECT_FALSE(make_uniform_jitter(0, 1).active());
   EXPECT_THROW(make_uniform_jitter(-1, 1), std::invalid_argument);
 }
 

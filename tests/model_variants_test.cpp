@@ -12,6 +12,7 @@
 #include "graph/generators.h"
 #include "graph/latency_models.h"
 #include "sim/engine.h"
+#include "sim/faults.h"
 
 namespace latgossip {
 namespace {
@@ -168,12 +169,12 @@ TEST(Blocking, ResponseLossStillUnblocks) {
     bool done(Round) const { return false; }
   } proto;
 
+  FaultPlan plan(2);
+  plan.set_link_drop_probability(1.0);  // lose every payload
   SimOptions opts;
   opts.blocking = true;
   opts.max_rounds = 30;
-  opts.drop_delivery = [](NodeId, NodeId, EdgeId, Round, Round) {
-    return true;  // lose every payload
-  };
+  plan.apply(opts);
   run_gossip(g, proto, opts);
   // One initiation per 2-round trip over 30 rounds: ~15, and certainly
   // more than one (the deadlock symptom).
@@ -186,10 +187,12 @@ TEST(Blocking, CrashedPeerDoesNotWedgeInitiator) {
   const auto g = build_graph(2, {{0, 1, 3}});
   NetworkView view(g, false);
   PushPullBroadcast proto(view, 0, Rng(3));
+  FaultPlan plan(2);
+  plan.crash_node(1, 0);
   SimOptions opts;
   opts.blocking = true;
   opts.max_rounds = 40;
-  opts.is_crashed = [](NodeId u, Round) { return u == 1; };
+  plan.apply(opts);
   const SimResult r = run_gossip(g, proto, opts);
   EXPECT_FALSE(r.completed);
   EXPECT_GE(r.activations, 8u);

@@ -14,6 +14,7 @@
 #include "core/eid.h"
 #include "core/push_pull.h"
 #include "core/tk_schedule.h"
+#include "graph/builder.h"
 #include "graph/generators.h"
 #include "graph/latency_models.h"
 #include "obs/export.h"
@@ -21,7 +22,6 @@
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "sim/engine.h"
-#include "sim/trace.h"
 
 namespace latgossip {
 namespace {
@@ -132,6 +132,65 @@ TEST(Recorder, PhaseNamesIntern) {
   EXPECT_EQ(rec.phase_name(0), "alpha");
   EXPECT_EQ(rec.phase_name(1), "beta");
   EXPECT_EQ(rec.phase_name(99), "?");
+}
+
+// --- engine-run activation trace ------------------------------------
+
+TEST(Trace, PerRoundAndPerEdgeCounts) {
+  GraphBuilder b(3);
+  const EdgeId e01 = b.add_edge(0, 1, 1);
+  const EdgeId e12 = b.add_edge(1, 2, 1);
+  const WeightedGraph g = b.build();
+
+  struct TwoShots {
+    using Payload = int;
+    std::optional<NodeId> select_contact(NodeId u, Round r) {
+      if (u == 0 && r == 0) return 1;
+      if (u == 1 && r == 2) return 2;
+      return std::nullopt;
+    }
+    Payload capture_payload(NodeId, Round) const { return 0; }
+    void deliver(NodeId, NodeId, Payload, EdgeId, Round, Round) {}
+    bool done(Round) const { return false; }
+  } proto;
+
+  EventRecorder rec;
+  SimOptions opts;
+  opts.recorder = &rec;
+  opts.max_rounds = 10;
+  opts.stop_when_idle = false;  // round 1 is silent by design
+  run_gossip(g, proto, opts);
+  EXPECT_EQ(rec.activations_in_round(0), 1u);
+  EXPECT_EQ(rec.activations_in_round(1), 0u);
+  EXPECT_EQ(rec.activations_in_round(2), 1u);
+  const auto counts = rec.per_edge_counts(g.num_edges());
+  EXPECT_EQ(counts[e01], 1u);
+  EXPECT_EQ(counts[e12], 1u);
+  EXPECT_EQ(activations_to_csv(rec),
+            "round,initiator,responder,edge\n0,0,1,0\n2,1,2,1\n");
+}
+
+TEST(Trace, CsvFormat) {
+  const auto g = build_graph(2, {{0, 1, 1}});
+  struct OneShot {
+    using Payload = int;
+    std::optional<NodeId> select_contact(NodeId u, Round r) {
+      return (u == 0 && r == 0) ? std::optional<NodeId>(1) : std::nullopt;
+    }
+    Payload capture_payload(NodeId, Round) const { return 0; }
+    void deliver(NodeId, NodeId, Payload, EdgeId, Round, Round) {}
+    bool done(Round) const { return false; }
+  } proto;
+  EventRecorder rec;
+  SimOptions opts;
+  opts.recorder = &rec;
+  opts.max_rounds = 5;
+  run_gossip(g, proto, opts);
+  EXPECT_EQ(activations_to_csv(rec),
+            "round,initiator,responder,edge\n0,0,1,0\n");
+  rec.clear();
+  EXPECT_EQ(rec.size(), 0u);
+  EXPECT_EQ(activations_to_csv(rec), "round,initiator,responder,edge\n");
 }
 
 // --- fingerprint -------------------------------------------------------
@@ -333,25 +392,6 @@ TEST(GoldenFingerprint, SeededPathDiscovery) {
 }
 
 // --- exports -----------------------------------------------------------
-
-TEST(Export, CsvByteCompatibleWithSimTrace) {
-  const WeightedGraph g = golden_graph();
-  const auto run_with = [&](SimOptions& opts) {
-    NetworkView view(g, false);
-    PushPullBroadcast proto(view, 0, Rng(3));
-    opts.max_rounds = 1'000'000;
-    run_gossip(g, proto, opts);
-  };
-  EventRecorder rec;
-  SimOptions opts;
-  opts.recorder = &rec;
-  run_with(opts);
-  SimTrace trace;
-  SimOptions legacy;
-  trace.attach(legacy);
-  run_with(legacy);
-  EXPECT_EQ(activations_to_csv(rec), trace.to_csv());
-}
 
 TEST(Export, ChromeTraceStructure) {
   EventRecorder rec;

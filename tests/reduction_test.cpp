@@ -10,6 +10,7 @@
 
 #include "game/reduction.h"
 #include "graph/gadgets.h"
+#include "sim/oracle.h"
 
 namespace latgossip {
 namespace {
@@ -62,6 +63,10 @@ TEST(Reduction, CrossActivationsBoundedByGuessBudget) {
       gadget, ReductionProtocol::kPushPull, Rng(11), 500'000);
   EXPECT_LE(r.cross_activations,
             static_cast<std::size_t>(r.sim.rounds + 1) * 2 * 8);
+  // Pinned: any change in which activations reach the game, or in how
+  // they group into game rounds, moves these.
+  EXPECT_EQ(r.cross_activations, 485u);
+  EXPECT_EQ(r.game_solved_round, Round{6});
 }
 
 TEST(Reduction, FloodingAlsoReduces) {
@@ -70,6 +75,8 @@ TEST(Reduction, FloodingAlsoReduces) {
       gadget, ReductionProtocol::kFlooding, Rng(13), 500'000);
   ASSERT_TRUE(r.broadcast_completed);
   EXPECT_GE(r.sim.rounds, gadget.slow_latency);
+  EXPECT_EQ(r.cross_activations, 400u);  // pinned, as above
+  EXPECT_EQ(r.game_solved_round, Round{0});
 }
 
 TEST(Reduction, SymmetricGadgetWorks) {
@@ -104,6 +111,27 @@ TEST(Reduction, GameTimeGrowsWithGadgetSize) {
   ASSERT_GT(small_cnt, 5);
   ASSERT_GT(large_cnt, 5);
   EXPECT_GT(large_mean / large_cnt, 1.8 * (small_mean / small_cnt));
+}
+
+TEST(Reduction, OracleEngineGivesTheSameResult) {
+  // Under a ScopedOracleEngine the reduction runs on the reference
+  // oracle (it dispatches through dispatch_gossip); every field of the
+  // result must match the optimized engine's.
+  for (const bool symmetric : {false, true})
+    for (const auto protocol :
+         {ReductionProtocol::kPushPull, ReductionProtocol::kFlooding}) {
+      const auto gadget = singleton_gadget(8, 21, symmetric);
+      const ReductionResult e =
+          run_gadget_reduction(gadget, protocol, Rng(23), 500'000);
+      const ScopedOracleEngine oracle;
+      const ReductionResult o =
+          run_gadget_reduction(gadget, protocol, Rng(23), 500'000);
+      EXPECT_EQ(e.sim, o.sim);
+      EXPECT_EQ(e.broadcast_completed, o.broadcast_completed);
+      EXPECT_EQ(e.cross_activations, o.cross_activations);
+      EXPECT_EQ(e.game_solved_round, o.game_solved_round);
+      EXPECT_GT(e.cross_activations, 0u);
+    }
 }
 
 }  // namespace

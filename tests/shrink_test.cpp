@@ -109,5 +109,44 @@ TEST(Shrink, ReducesDroppedLegBug) {
   FAIL() << "no divergent case within 50 draws";
 }
 
+// Each planted misreading of the fault contracts (sim/faults.h) — a
+// crash applied a round late, a drop draw keyed on the other leg, a
+// negated jitter delta — is caught on a case that exercises it and
+// shrinks to a small counterexample.
+TEST(Shrink, ReducesPlantedFaultBugs) {
+  CaseProfile profile;
+  profile.min_nodes = 6;
+  profile.max_nodes = 12;
+  profile.composites = false;
+  profile.allow_faults = false;
+  profile.allow_dynamics = false;
+  for (int planted = 0; planted < 3; ++planted) {
+    oracle_detail::ModelBug bug;
+    bug.crash_lag = planted == 0 ? 1 : 0;
+    bug.drop_other_leg = planted == 1;
+    bug.flip_jitter = planted == 2;
+    auto fails = [&bug](const TestCase& tc) {
+      return !run_differential(tc, bug).ok;
+    };
+    Rng rng(0xc4a5);
+    TestCase failing;
+    bool found = false;
+    for (int i = 0; i < 50 && !found; ++i) {
+      failing = random_case(rng, profile);
+      failing.faults.crash_count = planted == 0 ? 2 : 0;
+      failing.faults.crash_round = 3;
+      failing.faults.drop_probability = planted == 1 ? 0.3 : 0.0;
+      failing.jitter_spread = planted == 2 ? 3 : 0;
+      found = fails(failing);
+    }
+    ASSERT_TRUE(found) << "planted bug " << planted << " not caught";
+    const TestCase small = shrink_case(failing, fails);
+    EXPECT_TRUE(case_valid(small));
+    EXPECT_TRUE(fails(small)) << "shrinker lost the failure";
+    EXPECT_LE(small.num_nodes, 6u) << describe(small);
+    EXPECT_LT(small.num_nodes, failing.num_nodes) << describe(small);
+  }
+}
+
 }  // namespace
 }  // namespace latgossip
