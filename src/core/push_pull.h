@@ -254,7 +254,7 @@ class BasicPushPullGossip {
   Round last_gain_round(NodeId u) const { return last_gain_[u]; }
 
   /// Warm u's rumor storage + count ahead of deliver(u, ...) — called by
-  /// the engine one delivery ahead (sim/engine.h).
+  /// the engine a few deliveries ahead (sim/engine.h).
   void prefetch_deliver(NodeId u) const noexcept {
 #if defined(__GNUC__) || defined(__clang__)
     __builtin_prefetch(&rumor_count_[u], 0, 1);

@@ -181,10 +181,11 @@ struct PayloadTraits {
 namespace detail {
 
 /// Payloads that expose prefetch() (SnapshotRef: warm the snapshot
-/// block's cache lines) get prefetched one delivery ahead in the due
-/// loop; for everything else this compiles to nothing. Protocols may
-/// additionally expose prefetch_deliver(NodeId) to warm the receiver's
-/// per-node state (the union destination) the same way.
+/// block's cache lines) get prefetched kDeliveryPrefetchDistance
+/// deliveries ahead in the due loop; for everything else this compiles
+/// to nothing. Protocols may additionally expose prefetch_deliver(NodeId)
+/// to warm the receiver's per-node state (the union destination) the
+/// same way.
 template <typename P>
 inline void prefetch_payload(const typename P::Payload& pay) {
   if constexpr (requires { pay.prefetch(); }) pay.prefetch();
@@ -304,16 +305,30 @@ inline void FaultPlan::detach(SimOptions& opts) const { opts.faults = nullptr; }
 namespace detail {
 
 /// One scheduled payload leg, parameterized on the protocol's payload
-/// type so EngineState below can persist buckets across runs.
+/// type so EngineState below can persist buckets across runs. Field
+/// order packs the record: the three 4-byte ids, the flag and a small
+/// payload share the first 16 bytes, so a Boolean leg is 24 bytes and a
+/// SnapshotRef leg 32 (a `start` ahead of the flag would pad each to 32
+/// and 40). Every queued leg is written once and read once, so the
+/// bytes per leg are the delivery loop's memory traffic (DESIGN.md §5c).
 template <typename PayloadT>
 struct EngineDelivery {
   NodeId to;
   NodeId from;
   EdgeId edge;
-  Round start;
   bool to_initiator;  ///< true for the response leg (unblocks `to`)
   PayloadT payload;
+  Round start;
 };
+
+static_assert(sizeof(EngineDelivery<bool>) == 24);
+static_assert(sizeof(EngineDelivery<void*>) == 32);
+
+/// How many deliveries ahead the due loop (and release_pending) prefetch
+/// the payload block and the receiver's state. One ahead leaves too
+/// little time for a cold snapshot block to arrive; on the 65 536-node
+/// sparse run 2, 4 and 8 measured alike and all beat 1 (DESIGN.md §5c).
+inline constexpr std::size_t kDeliveryPrefetchDistance = 4;
 
 /// The engine's per-run storage, extracted so a TrialWorkspace can keep
 /// it alive between runs: the calendar queue (power-of-two ring of
@@ -400,9 +415,22 @@ class EngineState {
   /// Destroy every pending delivery (payloads included). Runs on every
   /// run_gossip exit path — max_rounds, idle, exception — so payload
   /// handles (SnapshotRefs into a protocol's arena) never outlive the
-  /// protocol that owns their storage.
+  /// protocol that owns their storage. A run that stops on done() can
+  /// leave hundreds of thousands of legs queued, each releasing a cold
+  /// snapshot block, so each bucket is walked with the due loop's
+  /// prefetch-ahead instead of a bare clear().
   void release_pending() noexcept {
-    for (auto& slot : slots) slot.clear();
+    for (auto& slot : slots) {
+      if constexpr (requires(const PayloadT& p) { p.prefetch(); }) {
+        const std::size_t size = slot.size();
+        for (std::size_t i = 0; i < size; ++i) {
+          if (i + kDeliveryPrefetchDistance < size)
+            slot[i + kDeliveryPrefetchDistance].payload.prefetch();
+          slot[i].payload = PayloadT();
+        }
+      }
+      slot.clear();
+    }
   }
 };
 
@@ -513,9 +541,10 @@ SimResult run_gossip_impl(const WeightedGraph& g, P& proto,
     auto& due = slots[static_cast<std::size_t>(r) & mask];
     if (!due.empty()) {
       for (std::size_t i = 0; i < due.size(); ++i) {
-        if (i + 1 < due.size()) {
-          detail::prefetch_payload<P>(due[i + 1].payload);
-          detail::prefetch_receiver(proto, due[i + 1].to);
+        if (i + kDeliveryPrefetchDistance < due.size()) {
+          const Delivery& ahead = due[i + kDeliveryPrefetchDistance];
+          detail::prefetch_payload<P>(ahead.payload);
+          detail::prefetch_receiver(proto, ahead.to);
         }
         auto& d = due[i];
         if (opts.blocking && d.to_initiator) {
@@ -640,10 +669,10 @@ SimResult run_gossip_impl(const WeightedGraph& g, P& proto,
       auto pull = PayloadTraits<P>::capture(proto, peer, r);
       result.payload_bits += detail::payload_bits_of<P>(push);
       result.payload_bits += detail::payload_bits_of<P>(pull);
-      schedule(r + lat, Delivery{peer, u, edge, r, /*to_initiator=*/false,
-                                 std::move(push)});
-      schedule(r + lat, Delivery{u, peer, edge, r, /*to_initiator=*/true,
-                                 std::move(pull)});
+      schedule(r + lat, Delivery{peer, u, edge, /*to_initiator=*/false,
+                                 std::move(push), r});
+      schedule(r + lat, Delivery{u, peer, edge, /*to_initiator=*/true,
+                                 std::move(pull), r});
       if (opts.blocking) ++outstanding[u];
       result.max_inflight = std::max(result.max_inflight, inflight);
     }

@@ -28,23 +28,27 @@ class Bitset {
   /// Sets of at most this many 64-bit words are stored inline.
   static constexpr std::size_t kInlineWords = 8;
 
-  Bitset() noexcept : size_(0), num_words_(0) {}
+  // Every constructor initialises the union through heap_ before
+  // data() can read it: for inline sets, data() reads heap_ in a
+  // select that GCC flags (-Wmaybe-uninitialized, fatal under
+  // -Werror with the sanitizers on) when nothing has written it.
+  Bitset() noexcept : size_(0), num_words_(0), heap_(nullptr) {}
 
   /// All-zero bitset with `size` bits.
   explicit Bitset(std::size_t size)
-      : size_(size), num_words_((size + 63) / 64) {
+      : size_(size), num_words_((size + 63) / 64), heap_(nullptr) {
     if (num_words_ > kInlineWords) heap_ = new std::uint64_t[num_words_];
     std::fill_n(data(), num_words_, 0);
   }
 
   Bitset(const Bitset& other)
-      : size_(other.size_), num_words_(other.num_words_) {
+      : size_(other.size_), num_words_(other.num_words_), heap_(nullptr) {
     if (num_words_ > kInlineWords) heap_ = new std::uint64_t[num_words_];
     std::copy_n(other.data(), num_words_, data());
   }
 
   Bitset(Bitset&& other) noexcept
-      : size_(other.size_), num_words_(other.num_words_) {
+      : size_(other.size_), num_words_(other.num_words_), heap_(nullptr) {
     if (num_words_ > kInlineWords) {
       heap_ = other.heap_;
       other.size_ = 0;

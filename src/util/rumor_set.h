@@ -41,7 +41,10 @@
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <stdexcept>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -74,18 +77,65 @@ using DenseRumorSet = Bitset;
 
 /// Sorted-vector sparse set over [0, size). Memory is 4 bytes per
 /// element versus the dense 1 bit per node, so sparse wins while
-/// |set| < size/32; once an instance grows past kPromoteNumerator *
-/// size / kPromoteDenominator elements it promotes itself to a dense
-/// Bitset and stays dense until the next reinit()/clear(). Promotion is
-/// per-instance: in a k-source broadcast every set stays sparse
-/// forever, while a worst-case all-to-all degrades to Bitset costs
-/// instead of O(|set|) insertion churn.
+/// |set| < size/32; once an instance grows past promote_threshold(size)
+/// elements it promotes itself to a dense Bitset and stays dense until
+/// the next reinit()/clear(). Promotion is per-instance: in a k-source
+/// broadcast every set stays sparse forever, while a worst-case
+/// all-to-all degrades to Bitset costs instead of O(|set|) insertion
+/// churn.
+///
+/// Layout (56 bytes, DESIGN.md §5i): the first kInlineElems elements
+/// live in the object, more spill into a heap vector, and the dense
+/// Bitset sits behind a pointer allocated only on promotion. A sparse
+/// set is what a snapshot block embeds and what every queued payload
+/// points at, so an 80-byte inline Bitset that a sparse set never uses
+/// would cost a cache line per block. Exactly one storage is live:
+///   dense_ != nullptr         → *dense_ (count_ mirrors its popcount);
+///   count_ <= kInlineElems    → inline_[0, count_);
+///   otherwise                 → spill_ (size() == count_).
 class SparseRumorSet {
  public:
   using OrDelta = Bitset::OrDelta;
 
+  /// Elements held in the object before the set spills to the heap.
+  static constexpr std::size_t kInlineElems = 4;
+
   SparseRumorSet() = default;
-  explicit SparseRumorSet(std::size_t size) : size_(size) {}
+  explicit SparseRumorSet(std::size_t size) : size_(narrow(size)) {}
+
+  SparseRumorSet(const SparseRumorSet& other)
+      : size_(other.size_), count_(other.count_) {
+    copy_storage(other);
+  }
+  SparseRumorSet(SparseRumorSet&& other) noexcept
+      : size_(other.size_),
+        count_(other.count_),
+        spill_(std::move(other.spill_)),
+        dense_(std::move(other.dense_)) {
+    std::copy_n(other.inline_, kInlineElems, inline_);
+    other.count_ = 0;
+    other.spill_.clear();
+  }
+  /// Keeps this set's spill capacity and dense words when they fit (the
+  /// snapshot arena overwrites pooled blocks with this).
+  SparseRumorSet& operator=(const SparseRumorSet& other) {
+    if (this == &other) return *this;
+    size_ = other.size_;
+    count_ = other.count_;
+    copy_storage(other);
+    return *this;
+  }
+  SparseRumorSet& operator=(SparseRumorSet&& other) noexcept {
+    if (this == &other) return *this;
+    size_ = other.size_;
+    count_ = other.count_;
+    std::copy_n(other.inline_, kInlineElems, inline_);
+    spill_ = std::move(other.spill_);
+    dense_ = std::move(other.dense_);
+    other.count_ = 0;
+    other.spill_.clear();
+    return *this;
+  }
 
   std::size_t size() const noexcept { return size_; }
   bool empty() const noexcept { return size_ == 0; }
@@ -99,82 +149,108 @@ class SparseRumorSet {
 
   bool test(std::size_t i) const {
     check(i);
-    if (dense_) return bits_.test(i);
-    return std::binary_search(elems_.begin(), elems_.end(),
-                              static_cast<std::uint32_t>(i));
+    if (dense_) return dense_->test(i);
+    return std::ranges::binary_search(view(), static_cast<std::uint32_t>(i));
   }
 
   void set(std::size_t i) {
     check(i);
     if (dense_) {
-      if (!bits_.test(i)) {
-        bits_.set(i);
+      if (!dense_->test(i)) {
+        dense_->set(i);
         ++count_;
       }
       return;
     }
     const auto v = static_cast<std::uint32_t>(i);
-    const auto it = std::lower_bound(elems_.begin(), elems_.end(), v);
-    if (it != elems_.end() && *it == v) return;
-    elems_.insert(it, v);
+    const std::span<const std::uint32_t> elems = view();
+    const auto it = std::ranges::lower_bound(elems, v);
+    if (it != elems.end() && *it == v) return;
+    const auto pos = static_cast<std::size_t>(it - elems.begin());
+    if (count_ < kInlineElems) {
+      std::copy_backward(inline_ + pos, inline_ + count_,
+                         inline_ + count_ + 1);
+      inline_[pos] = v;
+    } else {
+      if (count_ == kInlineElems) spill_.assign(inline_, inline_ + count_);
+      spill_.insert(spill_.begin() + static_cast<std::ptrdiff_t>(pos), v);
+    }
+    ++count_;
     maybe_promote();
   }
 
   void clear() noexcept {
-    elems_.clear();
-    dense_ = false;
     count_ = 0;
-    bits_ = Bitset();
+    spill_.clear();
+    dense_.reset();
   }
 
   /// Re-zero under a (possibly different) universe size; drops back to
-  /// sparse mode. Element storage capacity is kept (workspace reuse).
+  /// sparse mode. Spill capacity is kept (workspace reuse).
   void reinit(std::size_t size) {
     clear();
-    size_ = size;
+    size_ = narrow(size);
   }
 
-  std::size_t count() const noexcept {
-    return dense_ ? count_ : elems_.size();
-  }
+  std::size_t count() const noexcept { return count_; }
 
-  bool all() const noexcept { return count() == size_; }
+  bool all() const noexcept { return count_ == size_; }
 
   /// In-place union with exact change accounting — the observational
   /// contract matched against Bitset::or_assign_changed by the
   /// cross-representation differential sweep. Precondition: same size.
+  /// Sparse ∪ sparse first counts the new elements, so a union of a
+  /// subset (the common late-round case) returns without writing, and
+  /// otherwise merges in place from the back: it allocates only when
+  /// the result outgrows the spill capacity.
   OrDelta or_assign_changed(const SparseRumorSet& other) {
     check_same(other);
-    if (other.count() == 0) return OrDelta{};
+    if (other.count_ == 0) return OrDelta{};
     if (dense_) {
       if (other.dense_) {
-        const OrDelta delta = bits_.or_assign_changed(other.bits_);
-        count_ += delta.added;
+        const OrDelta delta = dense_->or_assign_changed(*other.dense_);
+        count_ += static_cast<std::uint32_t>(delta.added);
         return delta;
       }
       std::size_t added = 0;
-      for (const std::uint32_t v : other.elems_) {
-        if (!bits_.test(v)) {
-          bits_.set(v);
+      for (const std::uint32_t v : other.view()) {
+        if (!dense_->test(v)) {
+          dense_->set(v);
           ++added;
         }
       }
-      count_ += added;
+      count_ += static_cast<std::uint32_t>(added);
       return OrDelta{added > 0, added};
     }
     if (other.dense_) {
       promote();
       return or_assign_changed(other);
     }
-    // Sparse ∪ sparse: merge the sorted element lists.
-    const std::size_t before = elems_.size();
-    std::vector<std::uint32_t> merged;
-    merged.reserve(before + other.elems_.size());
-    std::set_union(elems_.begin(), elems_.end(), other.elems_.begin(),
-                   other.elems_.end(), std::back_inserter(merged));
-    const std::size_t added = merged.size() - before;
+    const std::span<const std::uint32_t> theirs = other.view();
+    const std::uint32_t* const b = theirs.data();
+    const std::size_t m = theirs.size();
+    const std::size_t added = count_new(theirs);
     if (added == 0) return OrDelta{};
-    elems_ = std::move(merged);
+    const std::size_t n = count_;
+    const std::size_t total = n + added;
+    if (total > kInlineElems) {
+      if (n <= kInlineElems) spill_.assign(inline_, inline_ + n);
+      spill_.resize(total);
+    }
+    // Backward merge: the destination's unread prefix [0, i) never
+    // overlaps the write cursor k, since k - i counts the b elements
+    // still to place.
+    std::uint32_t* const dst = total > kInlineElems ? spill_.data() : inline_;
+    std::size_t i = n, j = m, k = total;
+    while (j > 0) {
+      if (i > 0 && dst[i - 1] >= b[j - 1]) {
+        if (dst[i - 1] == b[j - 1]) --j;
+        dst[--k] = dst[--i];
+      } else {
+        dst[--k] = b[--j];
+      }
+    }
+    count_ = static_cast<std::uint32_t>(total);
     maybe_promote();
     return OrDelta{true, added};
   }
@@ -183,31 +259,38 @@ class SparseRumorSet {
   /// snapshot arena's fused copy+count, see util/snapshot.h).
   std::size_t assign_and_count(const SparseRumorSet& other) {
     *this = other;
-    return count();
+    return count_;
   }
 
   bool operator==(const SparseRumorSet& other) const {
-    if (size_ != other.size_) return false;
-    if (count() != other.count()) return false;
-    if (dense_ && other.dense_) return bits_ == other.bits_;
+    if (size_ != other.size_ || count_ != other.count_) return false;
+    if (dense_ && other.dense_) return *dense_ == *other.dense_;
     // Mixed-mode compare: membership, not layout, defines equality.
     const SparseRumorSet& sparse = dense_ ? other : *this;
     const SparseRumorSet& any = dense_ ? *this : other;
-    for (const std::uint32_t v : sparse.elems_)
+    for (const std::uint32_t v : sparse.view())
       if (!any.test(v)) return false;
     return true;
   }
 
   /// Indices of all elements, ascending (tests / debugging).
   std::vector<std::size_t> to_indices() const {
-    if (dense_) return bits_.to_indices();
-    return {elems_.begin(), elems_.end()};
+    if (dense_) return dense_->to_indices();
+    const std::span<const std::uint32_t> elems = view();
+    return {elems.begin(), elems.end()};
   }
 
   /// True while the instance is still in sorted-vector mode.
   bool is_sparse() const noexcept { return !dense_; }
+  /// True while a sparse instance still holds its elements inline.
+  bool is_inline() const noexcept { return !dense_ && count_ <= kInlineElems; }
 
  private:
+  static std::uint32_t narrow(std::size_t size) {
+    if (size > UINT32_MAX)
+      throw std::length_error("SparseRumorSet universe exceeds 2^32 - 1");
+    return static_cast<std::uint32_t>(size);
+  }
   void check(std::size_t i) const {
     if (i >= size_)
       throw std::out_of_range("SparseRumorSet index out of range");
@@ -217,24 +300,61 @@ class SparseRumorSet {
       throw std::invalid_argument("SparseRumorSet size mismatch");
   }
 
+  /// Sorted elements of a sparse-mode set.
+  std::span<const std::uint32_t> view() const noexcept {
+    return {count_ <= kInlineElems ? inline_ : spill_.data(), count_};
+  }
+
+  /// How many of the sorted `theirs` this sparse-mode set lacks.
+  std::size_t count_new(std::span<const std::uint32_t> theirs) const noexcept {
+    const std::span<const std::uint32_t> mine = view();
+    auto a = mine.begin();
+    std::size_t missing = 0;
+    for (const std::uint32_t v : theirs) {
+      while (a != mine.end() && *a < v) ++a;
+      if (a == mine.end() || *a != v) ++missing;
+    }
+    return missing;
+  }
+
+  /// Copy other's live storage; size_ and count_ are already other's.
+  void copy_storage(const SparseRumorSet& other) {
+    if (other.dense_) {
+      if (dense_)
+        *dense_ = *other.dense_;
+      else
+        dense_ = std::make_unique<Bitset>(*other.dense_);
+      spill_.clear();
+      return;
+    }
+    dense_.reset();
+    if (count_ <= kInlineElems) {
+      std::copy_n(other.inline_, count_, inline_);
+      spill_.clear();
+    } else {
+      spill_.assign(other.spill_.begin(), other.spill_.end());
+    }
+  }
+
   void maybe_promote() {
-    if (elems_.size() > promote_threshold(size_)) promote();
+    if (count_ > promote_threshold(size_)) promote();
   }
 
   void promote() {
-    bits_.reinit(size_);
-    for (const std::uint32_t v : elems_) bits_.set(v);
-    count_ = elems_.size();
-    elems_.clear();
-    dense_ = true;
+    auto bits = std::make_unique<Bitset>(size_);
+    for (const std::uint32_t v : view()) bits->set(v);
+    dense_ = std::move(bits);
+    spill_.clear();
   }
 
-  std::size_t size_ = 0;
-  bool dense_ = false;
-  std::vector<std::uint32_t> elems_;  ///< sorted; valid when !dense_
-  Bitset bits_;                       ///< valid when dense_
-  std::size_t count_ = 0;             ///< popcount mirror when dense_
+  std::uint32_t size_ = 0;
+  std::uint32_t count_ = 0;               ///< cardinality in every mode
+  std::uint32_t inline_[kInlineElems]{};  ///< sorted; live while inline
+  std::vector<std::uint32_t> spill_;      ///< sorted; live while spilled
+  std::unique_ptr<Bitset> dense_;         ///< live once promoted
 };
+
+static_assert(sizeof(SparseRumorSet) == 56);
 
 /// Dense membership with a cached cardinality and a saturation
 /// collapse. Below saturation this is a Bitset plus a count; the moment
@@ -357,9 +477,11 @@ std::vector<R> own_id_rumor_sets(std::size_t n) {
   return r;
 }
 
-/// Warm the representation's payload storage ahead of a union into it
-/// (the engine's one-delivery-ahead prefetch). Representations without
-/// a flat word array (sparse mode) skip the hint.
+/// Warm the representation's storage ahead of a union into it (the
+/// engine's prefetch-ahead, sim/engine.h). A Bitset warms its first two
+/// word lines; representations without a flat word array warm the set
+/// object itself, which holds a sparse set's inline elements and the
+/// header every union reads.
 template <typename R>
 inline void prefetch_rumor_set(const R& r) noexcept {
 #if defined(__GNUC__) || defined(__clang__)
@@ -368,7 +490,9 @@ inline void prefetch_rumor_set(const R& r) noexcept {
     __builtin_prefetch(w.data(), /*rw=*/1, /*locality=*/1);
     __builtin_prefetch(reinterpret_cast<const char*>(w.data()) + 64, 1, 1);
   } else {
-    (void)r;
+    __builtin_prefetch(&r, /*rw=*/1, /*locality=*/1);
+    __builtin_prefetch(reinterpret_cast<const char*>(&r) + sizeof(R) - 1, 1,
+                       1);
   }
 #else
   (void)r;

@@ -18,7 +18,8 @@
 //    blocks whose last reference dies are recycled through a free pool,
 //    so once the pool covers the in-flight peak, captures allocate
 //    nothing. Every block caches its cardinality at fill time, so
-//    payload_bits() accounting never re-scans the contents.
+//    payload_bits() accounting never re-scans the contents. One shared
+//    empty block stands in for every empty snapshot.
 //  * BasicSnapshotRef<R> — a cheap handle (copy = refcount bump, move =
 //    pointer steal) protocols use as their Payload type. The referenced
 //    set is immutable for the life of the handle.
@@ -176,32 +177,54 @@ class BasicSnapshotArena {
     return BasicSnapshotRef<R>(block);
   }
 
+  /// The arena's one empty snapshot (cardinality 0), built on first
+  /// use and handed out by refcount bump alone. Every node that has not
+  /// gained yet shares it, so in a single-source run the n initial
+  /// captures touch one hot block instead of filling n cold ones. The
+  /// arena keeps a reference of its own: the block is never recycled,
+  /// and BasicSnapshotCache::invalidate never finds it solely held, so
+  /// it is never marked stale or refilled.
+  BasicSnapshotRef<R> empty() {
+    if (empty_ == nullptr) {
+      empty_ = allocate();
+      empty_->count = 0;
+      empty_->refs = 1;  // the arena's own reference
+    }
+    return BasicSnapshotRef<R>(empty_);
+  }
+
   /// Reset for a new trial. Precondition: every ref into this arena has
-  /// died (all blocks recycled into the pool) — guaranteed at trial
-  /// boundaries because the engine releases pending deliveries before
-  /// run_gossip returns and BasicSnapshotCache::reset drops its slots
-  /// first. Same width: keeps slabs and pool, so the next run's captures
-  /// reuse every block already allocated (steady-state reuse allocates
+  /// died (all blocks recycled into the pool, the empty block held by
+  /// the arena alone) — guaranteed at trial boundaries because the
+  /// engine releases pending deliveries before run_gossip returns and
+  /// BasicSnapshotCache::reset drops its slots first. Same width: keeps
+  /// slabs, pool and the empty block, so the next run's captures reuse
+  /// every block already allocated (steady-state reuse allocates
   /// nothing; stale block contents are overwritten at capture). New
   /// width: drops everything and starts fresh.
   void reset(std::size_t bits) {
     if (bits == bits_) {
-      assert(pool_.size() == allocated_ && "SnapshotArena::reset with refs");
+      assert(pool_.size() + (empty_ != nullptr) == allocated_ &&
+             (empty_ == nullptr || empty_->refs == 1) &&
+             "SnapshotArena::reset with refs");
       return;
     }
     slabs_.clear();
     pool_.clear();
     next_in_slab_ = kSlabBlocks;
     allocated_ = 0;
+    empty_ = nullptr;
     bits_ = bits;
   }
 
-  /// Blocks ever allocated (the steady-state ceiling: once the pool
-  /// covers the in-flight peak this stops growing).
+  /// Blocks ever allocated, the empty block included (the steady-state
+  /// ceiling: once the pool covers the in-flight peak this stops
+  /// growing).
   std::size_t allocated_blocks() const noexcept { return allocated_; }
   /// Blocks currently sitting in the free pool.
   std::size_t pooled_blocks() const noexcept { return pool_.size(); }
-  /// Total capture() calls (copies actually performed).
+  /// Total capture() calls (copies actually performed; empty() copies
+  /// nothing and is not counted).
   std::uint64_t captures() const noexcept { return captures_; }
 
  private:
@@ -216,6 +239,11 @@ class BasicSnapshotArena {
       block->stale = false;
       return block;
     }
+    return allocate();
+  }
+
+  /// A never-used block carved from the current slab.
+  snapshot_detail::Block<R>* allocate() {
     if (next_in_slab_ == kSlabBlocks) {
       slabs_.push_back(
           std::make_unique<snapshot_detail::Block<R>[]>(kSlabBlocks));
@@ -256,6 +284,7 @@ class BasicSnapshotArena {
   std::size_t next_in_slab_ = kSlabBlocks;
   std::size_t allocated_ = 0;
   std::vector<snapshot_detail::Block<R>*> pool_;
+  snapshot_detail::Block<R>* empty_ = nullptr;  ///< see empty()
   std::uint64_t captures_ = 0;
 };
 
@@ -283,11 +312,14 @@ class BasicSnapshotCache {
       arena_.refill(slot.block_, contents);
     return slot;
   }
+  /// With known_count == 0 an empty slot takes the arena's shared empty
+  /// block instead of a copy.
   BasicSnapshotRef<R> shared(std::size_t node, const R& contents,
                              std::size_t known_count) {
     BasicSnapshotRef<R>& slot = cached_[node];
     if (!slot)
-      slot = arena_.capture(contents, known_count);
+      slot = known_count == 0 ? arena_.empty()
+                              : arena_.capture(contents, known_count);
     else if (slot.block_->stale)
       arena_.refill(slot.block_, contents, known_count);
     return slot;

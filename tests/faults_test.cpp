@@ -207,8 +207,11 @@ TEST(FaultPlan, CrashAllButOneLeavesOnlyTheSpare) {
   plan.crash_random_nodes(n - 1, 0, /*spare=*/4);
   EXPECT_EQ(plan.num_crashed_by(0), n - 1);
   EXPECT_FALSE(plan.crashed(4, 1'000'000));
-  for (NodeId u = 0; u < n; ++u)
-    if (u != 4) EXPECT_TRUE(plan.crashed(u, 0));
+  for (NodeId u = 0; u < n; ++u) {
+    if (u != 4) {
+      EXPECT_TRUE(plan.crashed(u, 0));
+    }
+  }
   // One more than n - 1 must throw, not spin forever.
   FaultPlan over(n, 17);
   EXPECT_THROW(over.crash_random_nodes(n, 0, 4), std::invalid_argument);

@@ -66,6 +66,7 @@ TYPED_TEST(RumorSetRepTest, OrDeltaAccounting) {
   const auto d2 = a.or_assign_changed(b);  // subset: no change
   EXPECT_FALSE(d2.changed);
   EXPECT_EQ(d2.added, 0u);
+  EXPECT_EQ(a.to_indices(), (std::vector<std::size_t>{1, 5, 9}));
   TypeParam c(8);
   EXPECT_THROW(a.or_assign_changed(c), std::invalid_argument);
 }
@@ -93,46 +94,57 @@ TYPED_TEST(RumorSetRepTest, EqualityIsMembershipBased) {
 
 // Randomized differential against the dense reference: the same op
 // sequence applied to TypeParam and Bitset must agree on membership,
-// cardinality, and every OrDelta.
+// cardinality, and every OrDelta. The universe sizes span the sparse
+// set's modes: at 12 it fills up without ever promoting, at 300 and
+// 3000 it crosses inline -> spilled -> dense; the occasional clear of y
+// keeps small (inline) operands flowing into large ones.
 TYPED_TEST(RumorSetRepTest, RandomizedAgainstDenseReference) {
-  constexpr std::size_t kN = 300;  // spans the sparse promote threshold
   Rng rng(0x5eed5e75ull);
-  for (int trial = 0; trial < 20; ++trial) {
-    TypeParam x(kN), y(kN);
-    Bitset rx(kN), ry(kN);
-    for (int op = 0; op < 400; ++op) {
-      switch (rng.uniform(4)) {
-        case 0: {
-          const std::size_t i = rng.uniform(kN);
-          x.set(i);
-          rx.set(i);
-          break;
+  for (const std::size_t kN : {std::size_t{12}, std::size_t{300},
+                               std::size_t{3000}}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      TypeParam x(kN), y(kN);
+      Bitset rx(kN), ry(kN);
+      for (int op = 0; op < 400; ++op) {
+        switch (rng.uniform(5)) {
+          case 0: {
+            const std::size_t i = rng.uniform(kN);
+            x.set(i);
+            rx.set(i);
+            break;
+          }
+          case 1: {
+            const std::size_t i = rng.uniform(kN);
+            y.set(i);
+            ry.set(i);
+            break;
+          }
+          case 2: {
+            const auto d = x.or_assign_changed(y);
+            const auto rd = rx.or_assign_changed(ry);
+            ASSERT_EQ(d.changed, rd.changed);
+            ASSERT_EQ(d.added, rd.added);
+            break;
+          }
+          case 3: {
+            const std::size_t i = rng.uniform(kN);
+            ASSERT_EQ(x.test(i), rx.test(i));
+            break;
+          }
+          case 4:
+            if (rng.uniform(10) == 0) {
+              y.clear();
+              ry.clear();
+            }
+            break;
         }
-        case 1: {
-          const std::size_t i = rng.uniform(kN);
-          y.set(i);
-          ry.set(i);
-          break;
-        }
-        case 2: {
-          const auto d = x.or_assign_changed(y);
-          const auto rd = rx.or_assign_changed(ry);
-          ASSERT_EQ(d.changed, rd.changed);
-          ASSERT_EQ(d.added, rd.added);
-          break;
-        }
-        case 3: {
-          const std::size_t i = rng.uniform(kN);
-          ASSERT_EQ(x.test(i), rx.test(i));
-          break;
-        }
+        ASSERT_EQ(x.count(), rx.count());
+        ASSERT_EQ(y.count(), ry.count());
+        ASSERT_EQ(x.all(), rx.all());
       }
-      ASSERT_EQ(x.count(), rx.count());
-      ASSERT_EQ(y.count(), ry.count());
-      ASSERT_EQ(x.all(), rx.all());
+      ASSERT_EQ(x.to_indices(), rx.to_indices());
+      ASSERT_EQ(y.to_indices(), ry.to_indices());
     }
-    ASSERT_EQ(x.to_indices(), rx.to_indices());
-    ASSERT_EQ(y.to_indices(), ry.to_indices());
   }
 }
 
@@ -192,6 +204,80 @@ TEST(SparseRumorSet, PromotesPastThreshold) {
   EXPECT_TRUE(s == s);
   s.reinit(kN);
   EXPECT_TRUE(s.is_sparse());  // reinit drops back to sparse mode
+}
+
+TEST(SparseRumorSet, ModesAndAssignmentAcrossModes) {
+  constexpr std::size_t kN = 1000;
+  const std::size_t threshold = SparseRumorSet::promote_threshold(kN);
+  // Walk one set through inline -> spilled -> dense, checking contents
+  // against the reference at each crossing.
+  SparseRumorSet walk(kN);
+  Bitset ref(kN);
+  for (std::size_t k = 0; k <= threshold; ++k) {
+    const std::size_t v = (k * 7 + 3) % kN;  // distinct, unsorted order
+    walk.set(v);
+    ref.set(v);
+    const std::size_t held = k + 1;
+    EXPECT_EQ(walk.is_inline(), held <= SparseRumorSet::kInlineElems);
+    EXPECT_EQ(walk.is_sparse(), held <= threshold);
+    if (held == SparseRumorSet::kInlineElems ||
+        held == SparseRumorSet::kInlineElems + 1 || held == threshold ||
+        held == threshold + 1) {
+      EXPECT_EQ(walk.to_indices(), ref.to_indices()) << held;
+    }
+  }
+  EXPECT_EQ(walk.count(), ref.count());
+
+  SparseRumorSet empty(kN), small(kN), spilled(kN);
+  small.set(2);
+  small.set(900);
+  for (std::size_t v = 10; v < 20; ++v) spilled.set(v);
+  ASSERT_TRUE(small.is_inline());
+  ASSERT_TRUE(spilled.is_sparse() && !spilled.is_inline());
+  ASSERT_FALSE(walk.is_sparse());
+  const std::vector<const SparseRumorSet*> modes = {&empty, &small, &spilled,
+                                                    &walk};
+  for (const SparseRumorSet* from : modes) {
+    for (const SparseRumorSet* onto : modes) {
+      SparseRumorSet copied(*onto);
+      copied = *from;
+      EXPECT_TRUE(copied == *from);
+      EXPECT_EQ(copied.to_indices(), from->to_indices());
+      EXPECT_EQ(copied.is_inline(), from->is_inline());
+      EXPECT_EQ(copied.is_sparse(), from->is_sparse());
+
+      SparseRumorSet source(*from);
+      SparseRumorSet moved(*onto);
+      moved = std::move(source);
+      EXPECT_EQ(moved.to_indices(), from->to_indices());
+      EXPECT_EQ(moved.count(), from->count());
+      EXPECT_EQ(source.count(), 0u);  // moved-from: valid and empty
+      source.set(1);
+      EXPECT_EQ(source.to_indices(), (std::vector<std::size_t>{1}));
+    }
+    // Self-assignment (through an alias) leaves the contents alone.
+    SparseRumorSet self(*from);
+    SparseRumorSet& alias = self;
+    self = alias;
+    EXPECT_EQ(self.to_indices(), from->to_indices());
+    self = std::move(alias);
+    EXPECT_EQ(self.to_indices(), from->to_indices());
+    // A union of a subset reports no change and writes nothing.
+    SparseRumorSet target(*from);
+    const auto d = target.or_assign_changed(empty);
+    EXPECT_FALSE(d.changed);
+    EXPECT_EQ(target.or_assign_changed(*from).added, 0u);
+    EXPECT_EQ(target.to_indices(), from->to_indices());
+  }
+  // The subset case on spilled storage: {10..19} ∪ {12, 15}.
+  SparseRumorSet part(kN);
+  part.set(12);
+  part.set(15);
+  SparseRumorSet host(spilled);
+  const auto d = host.or_assign_changed(part);
+  EXPECT_FALSE(d.changed);
+  EXPECT_EQ(d.added, 0u);
+  EXPECT_EQ(host.to_indices(), spilled.to_indices());
 }
 
 TEST(SparseRumorSet, SparseAbsorbsDenseOperand) {

@@ -169,5 +169,56 @@ TEST(SnapshotCache, InvalidateWithInflightReferenceDropsTheBlock) {
   EXPECT_EQ(cache.arena().pooled_blocks(), 1u);
 }
 
+TEST(SnapshotCache, EmptyCapturesShareOneBlock) {
+  SnapshotCache cache(3, 64);
+  const Bitset none(64);
+  const SnapshotRef a = cache.shared(0, none, 0);
+  const SnapshotRef b = cache.shared(1, none, 0);
+  EXPECT_EQ(a.id(), b.id());
+  EXPECT_EQ(a.count(), 0u);
+  EXPECT_TRUE(a.bits() == none);
+  EXPECT_EQ(cache.arena().captures(), 0u);  // nothing copied
+  EXPECT_EQ(cache.arena().allocated_blocks(), 1u);
+}
+
+TEST(SnapshotCache, InvalidateNeverMarksTheEmptyBlockStale) {
+  SnapshotCache cache(2, 64);
+  const Bitset none(64);
+  const void* const empty_id = cache.shared(0, none, 0).id();
+  // Node 0's slot is the only holder outside the arena; invalidate must
+  // release it, not mark the shared block stale for an in-place refill.
+  cache.invalidate(0);
+  const Bitset gained = bits_with(64, {3});
+  const SnapshotRef own = cache.shared(0, gained, 1);
+  EXPECT_NE(own.id(), empty_id);  // a node that gains gets its own block
+  EXPECT_TRUE(own.bits().test(3));
+  const SnapshotRef other = cache.shared(1, none, 0);
+  EXPECT_EQ(other.id(), empty_id);
+  EXPECT_EQ(other.count(), 0u);
+  EXPECT_FALSE(other.bits().test(3));
+  EXPECT_EQ(cache.arena().captures(), 1u);
+  EXPECT_EQ(cache.arena().allocated_blocks(), 2u);
+}
+
+TEST(SnapshotArena, ResetKeepsOrDropsTheEmptyBlockByWidth) {
+  // Debug builds check reset's precondition (every block back in the
+  // pool, the empty block held by the arena alone) with an assert.
+  SnapshotCache cache(2, 64);
+  const Bitset none(64);
+  const void* const empty_id = cache.shared(0, none, 0).id();
+  { const SnapshotRef gained = cache.shared(1, bits_with(64, {5}), 1); }
+  cache.reset(2, 64);  // same width: slabs, pool and empty block kept
+  EXPECT_EQ(cache.arena().allocated_blocks(), 2u);
+  EXPECT_EQ(cache.arena().pooled_blocks(), 1u);
+  EXPECT_EQ(cache.shared(0, none, 0).id(), empty_id);
+
+  cache.reset(2, 128);  // new width: everything dropped
+  EXPECT_EQ(cache.arena().allocated_blocks(), 0u);
+  const Bitset wide(128);
+  const SnapshotRef fresh_empty = cache.shared(0, wide, 0);
+  EXPECT_EQ(fresh_empty.bits().size(), 128u);
+  EXPECT_EQ(cache.arena().allocated_blocks(), 1u);
+}
+
 }  // namespace
 }  // namespace latgossip
