@@ -56,13 +56,11 @@
 #include "core/tk_schedule.h"
 #include "core/unified.h"
 
-// Experiment store + query server
+// Experiment store
 #include "store/cached_trials.h"
 #include "store/json.h"
 #include "store/key.h"
-#include "store/server.h"
 #include "store/store.h"
-#include "store/wire.h"
 
 // Application layer
 #include "app/aggregate.h"

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
@@ -14,26 +15,9 @@ const JsonValue* JsonValue::get(std::string_view key) const noexcept {
   return nullptr;
 }
 
-std::int64_t JsonValue::get_i64(std::string_view key,
-                                std::int64_t def) const noexcept {
-  const JsonValue* v = get(key);
-  return v != nullptr && v->is_integer() ? v->as_i64() : def;
-}
-
-std::uint64_t JsonValue::get_u64(std::string_view key,
-                                 std::uint64_t def) const noexcept {
-  const JsonValue* v = get(key);
-  return v != nullptr && v->is_integer() ? v->as_u64() : def;
-}
-
 double JsonValue::get_double(std::string_view key, double def) const noexcept {
   const JsonValue* v = get(key);
   return v != nullptr && v->is_number() ? v->as_double() : def;
-}
-
-bool JsonValue::get_bool(std::string_view key, bool def) const noexcept {
-  const JsonValue* v = get(key);
-  return v != nullptr && v->is_bool() ? v->as_bool() : def;
 }
 
 std::string JsonValue::get_string(std::string_view key,
@@ -90,7 +74,7 @@ JsonValue JsonValue::make_object(
 namespace {
 
 /// Recursive-descent parser over a string_view. Depth-capped so a
-/// malicious "[[[[…" request frame cannot blow the server's stack.
+/// damaged "[[[[…" log line cannot blow the stack.
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
@@ -204,6 +188,9 @@ class Parser {
     const double d = std::strtod(token.c_str(), &end);
     if (end == nullptr || *end != '\0' || end == token.c_str())
       return fail("bad number");
+    // 1e999 overflows to infinity, which JSON cannot spell: accepting it
+    // would serialize as "inf" and turn a parsed record into damage.
+    if (!std::isfinite(d)) return fail("number out of range");
     out = JsonValue::make_number(d);
     return true;
   }
@@ -358,12 +345,17 @@ void serialize_value(std::string& out, const JsonValue& v) {
     case JsonValue::Kind::kBool: out += v.as_bool() ? "true" : "false"; break;
     case JsonValue::Kind::kNumber: {
       char buf[32];
-      if (v.is_integer())
+      if (v.is_integer()) {
         std::snprintf(buf, sizeof buf, "%lld",
                       static_cast<long long>(v.as_i64()));
-      else
-        std::snprintf(buf, sizeof buf, "%.17g", v.as_double());
+        out += buf;
+        break;
+      }
+      std::snprintf(buf, sizeof buf, "%.17g", v.as_double());
       out += buf;
+      // Keep a fraction so the token re-parses as a double: "-0" would
+      // come back as the integer 0 and drop the sign.
+      if (std::strpbrk(buf, ".e") == nullptr) out += ".0";
       break;
     }
     case JsonValue::Kind::kString: serialize_string(out, v.as_string()); break;

@@ -1,16 +1,14 @@
 #pragma once
-// Minimal JSON document parser for the experiment store and the serve
-// wire protocol.
+// Minimal JSON document parser for the experiment store's log.
 //
 // The rest of the codebase only ever *emits* JSON (hand-built strings in
-// obs/export and bench/run_bench); the store is the first subsystem that
-// has to read it back: log replay on open, requests arriving over the
-// serve socket, and cached spread-curve payloads. This is a small
-// recursive-descent parser for exactly that — no streaming, no SAX, no
-// allocator cleverness. Documents are parsed into a JsonValue tree;
-// objects keep insertion order (round-trip friendly) and lookups are
-// linear, which is fine at the handful-of-fields scale of store records
-// and query requests.
+// obs/export); the store is the one subsystem that reads it back: log
+// replay on open, including any cached meta payload a record carries.
+// This is a small recursive-descent parser for exactly that — no
+// streaming, no SAX, no allocator cleverness. Documents are parsed into
+// a JsonValue tree; objects keep insertion order (round-trip friendly)
+// and lookups are linear, which is fine at the handful-of-fields scale
+// of store records.
 //
 // Integers are kept exact: a number token with no '.', 'e' or 'E' is
 // stored as int64 (as well as double), so 64-bit counters survive a
@@ -41,11 +39,9 @@ class JsonValue {
   JsonValue() = default;
 
   Kind kind() const noexcept { return kind_; }
-  bool is_null() const noexcept { return kind_ == Kind::kNull; }
   bool is_bool() const noexcept { return kind_ == Kind::kBool; }
   bool is_number() const noexcept { return kind_ == Kind::kNumber; }
   bool is_string() const noexcept { return kind_ == Kind::kString; }
-  bool is_array() const noexcept { return kind_ == Kind::kArray; }
   bool is_object() const noexcept { return kind_ == Kind::kObject; }
 
   bool as_bool() const noexcept { return boolean_; }
@@ -54,9 +50,6 @@ class JsonValue {
   /// exponent) that fits in int64 — the exact-round-trip path.
   bool is_integer() const noexcept { return is_number() && integral_; }
   std::int64_t as_i64() const noexcept { return integer_; }
-  std::uint64_t as_u64() const noexcept {
-    return static_cast<std::uint64_t>(integer_);
-  }
   const std::string& as_string() const noexcept { return string_; }
 
   const std::vector<JsonValue>& items() const noexcept { return items_; }
@@ -66,18 +59,15 @@ class JsonValue {
   }
 
   /// Object member by key, or nullptr (also for non-objects). Linear
-  /// scan; store records and requests have < 20 fields.
+  /// scan; store records have < 20 fields.
   const JsonValue* get(std::string_view key) const noexcept;
 
-  // Typed member accessors with defaults — the shape every store/server
-  // read site wants ("field if present and of this type, else default").
-  std::int64_t get_i64(std::string_view key, std::int64_t def) const noexcept;
-  std::uint64_t get_u64(std::string_view key, std::uint64_t def) const noexcept;
+  // Typed member accessors with defaults — the shape every store read
+  // site wants ("field if present and of this type, else default").
   double get_double(std::string_view key, double def) const noexcept;
-  bool get_bool(std::string_view key, bool def) const noexcept;
   std::string get_string(std::string_view key, std::string_view def) const;
 
-  // Construction (parser + tests).
+  // Construction (the parser).
   static JsonValue make_null() { return JsonValue(); }
   static JsonValue make_bool(bool b);
   static JsonValue make_number(double d);

@@ -14,8 +14,8 @@
 //    count and the full (u, v, latency) edge list in edge-id order. A
 //    regenerated file with one latency changed gets a different key; a
 //    byte-identical graph reached through a different path shares the
-//    cache entry (the CLI's --in=FILE runs and the serve daemon's
-//    generated graphs meet in the same key space).
+//    cache entry (a graph file and the same graph regenerated in
+//    process meet in the same key space).
 //
 // The key covers everything that decides a trial's SimResult: protocol
 // (including the rumor-set representation suffix — all representations
@@ -58,7 +58,7 @@ struct StoreKey {
 
   bool operator==(const StoreKey&) const = default;
 
-  /// 32 lowercase hex chars, hi then lo — the on-disk and wire form.
+  /// 32 lowercase hex chars, hi then lo — the on-disk form.
   std::string hex() const;
   static std::optional<StoreKey> from_hex(std::string_view s);
 };

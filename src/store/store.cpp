@@ -57,7 +57,9 @@ std::string store_record_line(const StoreKey& key, const StoreRecord& rec) {
   }
   out += "\"},\"wall_ms\":";
   {
-    char buf[32];
+    // Room for any finite double in %.3f (DBL_MAX has 309 digits), so
+    // a huge value is never cut short into a different number.
+    char buf[320];
     std::snprintf(buf, sizeof buf, "%.3f", rec.wall_ms);
     out += buf;
   }
@@ -80,29 +82,29 @@ std::optional<std::pair<StoreKey, StoreRecord>> parse_store_record(
   if (!key) return std::nullopt;
   const JsonValue* result = doc->get("result");
   if (result == nullptr || !result->is_object()) return std::nullopt;
-  // Every result field is required: a record that lost one is damage,
-  // not a schema variant.
-  for (const char* field :
-       {"rounds", "completed", "activations", "messages_delivered",
-        "messages_dropped", "exchanges_rejected", "payload_bits",
-        "max_inflight", "fingerprint"}) {
-    if (result->get(field) == nullptr) return std::nullopt;
-  }
+  // Every result field is required and typed: a record that lost one,
+  // or holds a value its SimResult field cannot (a negative count would
+  // come back as 2^64 - k), is damage, not a schema variant.
+  const JsonValue* rounds = result->get("rounds");
+  const JsonValue* completed = result->get("completed");
+  if (rounds == nullptr || !rounds->is_integer() || completed == nullptr ||
+      !completed->is_bool())
+    return std::nullopt;
   StoreRecord rec;
-  rec.result.rounds = result->get_i64("rounds", 0);
-  rec.result.completed = result->get_bool("completed", false);
-  rec.result.activations =
-      static_cast<std::size_t>(result->get_u64("activations", 0));
-  rec.result.messages_delivered =
-      static_cast<std::size_t>(result->get_u64("messages_delivered", 0));
-  rec.result.messages_dropped =
-      static_cast<std::size_t>(result->get_u64("messages_dropped", 0));
-  rec.result.exchanges_rejected =
-      static_cast<std::size_t>(result->get_u64("exchanges_rejected", 0));
-  rec.result.payload_bits =
-      static_cast<std::size_t>(result->get_u64("payload_bits", 0));
-  rec.result.max_inflight =
-      static_cast<std::size_t>(result->get_u64("max_inflight", 0));
+  rec.result.rounds = rounds->as_i64();
+  rec.result.completed = completed->as_bool();
+  for (const auto& [field, count] :
+       {std::pair{"activations", &rec.result.activations},
+        std::pair{"messages_delivered", &rec.result.messages_delivered},
+        std::pair{"messages_dropped", &rec.result.messages_dropped},
+        std::pair{"exchanges_rejected", &rec.result.exchanges_rejected},
+        std::pair{"payload_bits", &rec.result.payload_bits},
+        std::pair{"max_inflight", &rec.result.max_inflight}}) {
+    const JsonValue* value = result->get(field);
+    if (value == nullptr || !value->is_integer() || value->as_i64() < 0)
+      return std::nullopt;
+    *count = static_cast<std::size_t>(value->as_i64());
+  }
   const std::string fp = result->get_string("fingerprint", "");
   if (fp.size() != 18 || fp.compare(0, 2, "0x") != 0) return std::nullopt;
   std::uint64_t fp_value = 0;

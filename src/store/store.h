@@ -6,7 +6,7 @@
 // that computation: the SimResult including its event-stream
 // fingerprint, the compute wall time, and an optional meta payload
 // (e.g. a spread curve). Sweeps consult the store before computing a
-// cell; `latgossip serve` answers many clients from one warm store.
+// cell; `latgossip run --store=DIR` is the command-line way in.
 //
 // Layout (exemplar: Nix's libstore, radically simplified — one flat
 // log instead of a narinfo/nar split, because values are tiny):
@@ -34,8 +34,7 @@
 // Thread safety: lookup/insert/contains/stats are safe to call
 // concurrently — TrialPool workers insert cells as they compute them
 // (covered by the TSan CI leg). One writer process per store directory;
-// concurrent *processes* are out of scope (the serve daemon is the
-// multi-client story).
+// concurrent *processes* are out of scope.
 
 #include <cstdio>
 #include <mutex>
@@ -95,7 +94,6 @@ class ExperimentStore {
 
   std::size_t size() const;
   StoreStats stats() const;
-  const std::string& dir() const noexcept { return dir_; }
   std::string log_path() const;
 
  private:
@@ -113,11 +111,13 @@ class ExperimentStore {
 };
 
 /// One serialized record line (no trailing newline) — exposed for the
-/// server (which embeds results in responses) and tests.
+/// log round-trip and fuzz tests.
 std::string store_record_line(const StoreKey& key, const StoreRecord& rec);
 
 /// Parse one log line. Returns nullopt on any damage: bad JSON, wrong
-/// schema, malformed key, or missing result fields.
+/// schema, malformed key, or a missing or mistyped result field (counts
+/// must be non-negative integers). A line this accepts serializes back
+/// through store_record_line to a line that parses to the same record.
 std::optional<std::pair<StoreKey, StoreRecord>> parse_store_record(
     std::string_view line);
 

@@ -1,6 +1,7 @@
 #include "util/args.h"
 
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
 #include <stdexcept>
 
 namespace latgossip {
@@ -31,16 +32,36 @@ std::string Args::get(const std::string& name, const std::string& def) const {
   return it == flags_.end() ? def : it->second;
 }
 
+namespace {
+
+/// The whole of `text` as a T, or a throw naming the flag: an empty
+/// value, trailing characters and out-of-range or non-finite values are
+/// all errors.
+template <typename T>
+T parse_number(const std::string& name, const std::string& text,
+               const char* what) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end ||
+      !std::isfinite(static_cast<double>(value)))
+    throw std::invalid_argument("--" + name + "=" + text + ": expected " +
+                                what);
+  return value;
+}
+
+}  // namespace
+
 std::int64_t Args::get_int(const std::string& name, std::int64_t def) const {
   auto it = flags_.find(name);
   if (it == flags_.end()) return def;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  return parse_number<std::int64_t>(name, it->second, "an integer");
 }
 
 double Args::get_double(const std::string& name, double def) const {
   auto it = flags_.find(name);
   if (it == flags_.end()) return def;
-  return std::strtod(it->second.c_str(), nullptr);
+  return parse_number<double>(name, it->second, "a finite number");
 }
 
 bool Args::get_bool(const std::string& name, bool def) const {

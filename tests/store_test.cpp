@@ -1,8 +1,9 @@
 // Tests for the content-addressed experiment store: JSON round trips,
 // canonical key derivation (field-order independence + golden digests),
 // hit/miss/insert semantics, crash recovery from corrupted/truncated
-// logs, concurrent inserts from TrialPool workers, and the
-// run_trials_stored hit/miss bit-identity + verify contract.
+// logs (including a seeded byte-mutation fuzz of the log), concurrent
+// inserts from TrialPool workers, and the run_trials_stored hit/miss
+// bit-identity + verify contract.
 
 #include <gtest/gtest.h>
 
@@ -10,8 +11,10 @@
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/push_pull.h"
@@ -25,6 +28,7 @@
 #include "store/json.h"
 #include "store/key.h"
 #include "store/store.h"
+#include "util/rng.h"
 
 namespace latgossip {
 namespace {
@@ -55,20 +59,20 @@ TEST(StoreJson, ParsesScalarsAndStructure) {
       &err);
   ASSERT_TRUE(doc) << err;
   ASSERT_TRUE(doc->is_object());
-  EXPECT_EQ(doc->get_i64("a", -1), 1);
+  EXPECT_EQ(doc->get("a")->as_i64(), 1);
   EXPECT_DOUBLE_EQ(doc->get_double("b", 0), -2.5);
   EXPECT_EQ(doc->get_string("c", ""), "x\ny");
   const JsonValue* d = doc->get("d");
-  ASSERT_TRUE(d != nullptr && d->is_array());
+  ASSERT_TRUE(d != nullptr && d->kind() == JsonValue::Kind::kArray);
   ASSERT_EQ(d->items().size(), 3u);
   EXPECT_TRUE(d->items()[0].as_bool());
   EXPECT_FALSE(d->items()[1].as_bool());
-  EXPECT_TRUE(d->items()[2].is_null());
+  EXPECT_EQ(d->items()[2].kind(), JsonValue::Kind::kNull);
   const JsonValue* e = doc->get("e");
   ASSERT_TRUE(e != nullptr && e->is_object());
-  EXPECT_EQ(e->get_i64("f", -1), 42);
+  EXPECT_EQ(e->get("f")->as_i64(), 42);
   EXPECT_EQ(doc->get("missing"), nullptr);
-  EXPECT_EQ(doc->get_i64("missing", -7), -7);
+  EXPECT_EQ(doc->get_double("missing", -7.0), -7.0);
 }
 
 TEST(StoreJson, ExactInt64RoundTrip) {
@@ -117,6 +121,9 @@ TEST(StoreJson, RejectsMalformed) {
   deep += std::string(70, ']');
   EXPECT_FALSE(json_parse(deep));
   EXPECT_TRUE(json_parse(std::string(60, '[') + std::string(60, ']')));
+  // Overflow to infinity has no JSON spelling to serialize back to.
+  EXPECT_FALSE(json_parse("1e999"));
+  EXPECT_FALSE(json_parse("[-1e999]"));
 }
 
 TEST(StoreJson, SerializeParseFixedPoint) {
@@ -128,6 +135,13 @@ TEST(StoreJson, SerializeParseFixedPoint) {
   const auto doc2 = json_parse(once);
   ASSERT_TRUE(doc2);
   EXPECT_EQ(json_serialize(*doc2), once);
+  // Whole-valued doubles keep a fraction, so they stay doubles (and -0
+  // keeps its sign) through a second round trip.
+  const auto whole = json_parse("[-0.0,100.0,1e2,7]");
+  ASSERT_TRUE(whole);
+  EXPECT_EQ(json_serialize(*whole), "[-0.0,100.0,100.0,7]");
+  EXPECT_EQ(json_serialize(*json_parse(json_serialize(*whole))),
+            "[-0.0,100.0,100.0,7]");
 }
 
 // ---------------------------------------------------------------------------
@@ -266,6 +280,67 @@ StoreRecord sample_record(std::uint64_t salt) {
   return rec;
 }
 
+/// Valid log lines for the mutation tests: plain records and records
+/// carrying a meta object with every JSON value kind.
+std::vector<std::string> fuzz_base_lines() {
+  std::vector<std::string> lines;
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    StoreRecord rec = sample_record(i);
+    if (i % 2 == 1)
+      rec.meta = R"({"curve":[1,2.5,-3e-2],"tag":"a\"b\u0001","ok":true,)"
+                 R"("none":null,"nested":{"n":-7}})";
+    lines.push_back(store_record_line(
+        StoreKey{0x0123456789abcdefULL * (i + 1), 0xfedcba9876543210ULL ^ i},
+        rec));
+  }
+  return lines;
+}
+
+/// One to three edits: flip a bit, insert a byte (biased toward JSON
+/// syntax), delete a byte, truncate, or overwrite the value after a
+/// ':' with a token from a dictionary of edge-case JSON values (the
+/// AFL dictionary idea: single bytes rarely build "1e999").
+std::string mutate_record_line(std::string line, Rng& rng) {
+  static constexpr std::string_view kSyntax = "{}[]\",:-+.eE0123456789\\u ";
+  static constexpr std::string_view kTokens[] = {
+      "-1",   "-0",    "-0.0", "0.5",  "1e999",   "-1e999", "1e300",
+      "1e-400", "18446744073709551615", "9223372036854775808",
+      "\"x\"", "true", "null", "[]",   "{}",      "{\"k\":-0.0}"};
+  const std::uint64_t edits = 1 + rng.uniform(3);
+  for (std::uint64_t e = 0; e < edits; ++e) {
+    const std::size_t pos = rng.uniform(line.size() + 1);
+    switch (rng.uniform(5)) {
+      case 0:
+        if (pos < line.size())
+          line[pos] = static_cast<char>(line[pos] ^ (1 << rng.uniform(8)));
+        break;
+      case 1: {
+        const char byte =
+            rng.uniform(2) == 0
+                ? kSyntax[rng.uniform(kSyntax.size())]
+                : static_cast<char>(rng.uniform(256));
+        line.insert(pos, 1, byte);
+        break;
+      }
+      case 2:
+        if (pos < line.size()) line.erase(pos, 1);
+        break;
+      case 3:
+        line.resize(pos);
+        break;
+      default: {
+        const std::size_t colon = line.find(':', pos);
+        if (colon == std::string::npos) break;
+        const std::size_t end = line.find_first_of(",}", colon + 1);
+        line.replace(colon + 1,
+                     (end == std::string::npos ? line.size() : end) - colon - 1,
+                     kTokens[rng.uniform(std::size(kTokens))]);
+      }
+    }
+  }
+  return line;
+}
+
 TEST(Store, InsertLookupRoundTrip) {
   const std::string dir = scratch_dir("roundtrip");
   ExperimentStore store(dir);
@@ -347,6 +422,106 @@ TEST(Store, RecordLineParseRejectsDamage) {
   ASSERT_NE(rpos, std::string::npos);
   nofield.replace(rpos, 8, "\"r0unds\"");
   EXPECT_FALSE(parse_store_record(nofield));
+  // Mistyped or out-of-range fields, each found by the fuzz below: a
+  // negative count, a count that is not an integer, and a wall time
+  // that overflows to infinity.
+  auto with = [&](const std::string& field, const std::string& value) {
+    std::string s = line;
+    const std::size_t at = s.find("\"" + field + "\":") + field.size() + 3;
+    s.replace(at, s.find_first_of(",}", at) - at, value);
+    return parse_store_record(s);
+  };
+  EXPECT_FALSE(with("activations", "-5"));
+  EXPECT_FALSE(with("activations", "\"x\""));
+  EXPECT_FALSE(with("rounds", "13.5"));
+  EXPECT_FALSE(with("wall_ms", "1e999"));
+  // A huge wall time is logged in full, not cut to another number.
+  const auto huge = with("wall_ms", "1e300");
+  ASSERT_TRUE(huge);
+  EXPECT_EQ(parse_store_record(store_record_line(huge->first, huge->second))
+                ->second.wall_ms,
+            1e300);
+
+  // Seeded byte mutations of valid lines, with and without a meta
+  // payload: whatever the parser accepts must serialize to a line that
+  // parses back to the same record (wall_ms is logged at 3 decimals).
+  const std::vector<std::string> valid = fuzz_base_lines();
+  Rng rng(20170725);
+  std::size_t accepted = 0;
+  for (int i = 0; i < 4000; ++i) {
+    const std::string mutated =
+        mutate_record_line(valid[static_cast<std::size_t>(i) % valid.size()],
+                           rng);
+    const auto first = parse_store_record(mutated);
+    if (!first) continue;
+    ++accepted;
+    const std::string again = store_record_line(first->first, first->second);
+    const auto second = parse_store_record(again);
+    ASSERT_TRUE(second) << "accepted " << mutated << "\nbut not " << again;
+    EXPECT_EQ(second->first, first->first) << mutated;
+    EXPECT_EQ(second->second.result, first->second.result) << mutated;
+    EXPECT_EQ(second->second.meta, first->second.meta) << mutated;
+    EXPECT_NEAR(second->second.wall_ms, first->second.wall_ms, 5e-4)
+        << mutated;
+    EXPECT_EQ(store_record_line(second->first, second->second), again)
+        << mutated;
+  }
+  // Most single-byte damage lands in digits and string bodies the
+  // parser accepts, so the round-trip arm above is actually exercised.
+  EXPECT_GT(accepted, 100u);
+}
+
+TEST(Store, OpenSurvivesMutatedLogLines) {
+  const std::string dir = scratch_dir("fuzz_log");
+  const std::vector<std::string> valid = fuzz_base_lines();
+  Rng rng(4242);
+  // Damage on both sides of every valid line: mutants of line i come
+  // right before it (so a mutant that still parses under line i's key
+  // is overwritten by the original, as replay is last-wins) and after
+  // line i - 1.
+  std::string log;
+  for (const std::string& line : valid) {
+    for (int m = 0; m < 150; ++m) log += mutate_record_line(line, rng) + '\n';
+    log += line + '\n';
+  }
+  std::filesystem::create_directories(dir);
+  std::ofstream(dir + "/store.v1.log", std::ios::binary) << log;
+  // Count damage the way replay reads the log: line by line, so a
+  // mutation that inserted a '\n' yields two lines.
+  std::size_t damaged = 0;
+  std::set<std::string> keys;
+  std::istringstream lines(log);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.empty()) continue;
+    if (const auto rec = parse_store_record(line))
+      keys.insert(rec->first.hex());
+    else
+      ++damaged;
+  }
+
+  auto expect_valid_lines_kept = [&](ExperimentStore& store) {
+    EXPECT_EQ(store.size(), keys.size());
+    for (const std::string& line : valid) {
+      const auto want = parse_store_record(line);
+      ASSERT_TRUE(want);
+      const auto got = store.lookup(want->first);
+      ASSERT_TRUE(got) << "valid line lost: " << line;
+      EXPECT_EQ(got->result, want->second.result);
+      EXPECT_EQ(got->meta, want->second.meta);
+      EXPECT_EQ(got->wall_ms, want->second.wall_ms);
+    }
+  };
+  {
+    ExperimentStore store(dir);
+    EXPECT_EQ(store.stats().recovered_records, damaged);
+    EXPECT_EQ(store.stats().repaired, damaged > 0);
+    expect_valid_lines_kept(store);
+  }
+  // The repaired log holds only lines the parser accepts.
+  ExperimentStore reopened(dir);
+  EXPECT_EQ(reopened.stats().recovered_records, 0u);
+  expect_valid_lines_kept(reopened);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Store, RecoversFromCorruptedAndTruncatedLog) {

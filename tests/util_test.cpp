@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
 
 #include "util/args.h"
@@ -422,6 +423,42 @@ TEST(Args, AllowOnlyCatchesTypos) {
   Args args(2, argv);
   EXPECT_THROW(args.allow_only({"n", "seed"}), std::invalid_argument);
   EXPECT_NO_THROW(args.allow_only({"typo"}));
+}
+
+TEST(Args, NumericFlagsParseWholeValues) {
+  const char* argv[] = {"prog",          "--seed=42",   "--neg=-3",
+                        "--seconds=25.0", "--p=1e-3",   "--trace=0",
+                        "--big=9223372036854775807"};
+  Args args(7, argv);
+  EXPECT_EQ(args.get_int("seed", 0), 42);
+  EXPECT_EQ(args.get_int("neg", 0), -3);
+  EXPECT_EQ(args.get_double("seconds", 0.0), 25.0);
+  EXPECT_EQ(args.get_double("p", 0.0), 1e-3);
+  EXPECT_EQ(args.get_int("trace", 1), 0);
+  EXPECT_EQ(args.get_int("big", 0), INT64_MAX);
+  // An integer is also a valid double.
+  EXPECT_EQ(args.get_double("seed", 0.0), 42.0);
+}
+
+TEST(Args, RejectsMalformedNumbersNamingTheFlag) {
+  auto error = [](const char* arg, bool as_double) -> std::string {
+    const char* argv[] = {"prog", arg};
+    const Args args(2, argv);
+    try {
+      as_double ? (void)args.get_double("v", 0.0) : (void)args.get_int("v", 0);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  };
+  for (const char* bad : {"--v=", "--v=3x", "--v=abc", "--v= 3", "--v=3 ",
+                          "--v=1.5", "--v=0x10", "--v",
+                          "--v=9223372036854775808",
+                          "--v=-9223372036854775809"})
+    EXPECT_NE(error(bad, false).find("--v="), std::string::npos) << bad;
+  for (const char* bad : {"--v=", "--v=2.5s", "--v=abc", "--v=1e999",
+                          "--v=inf", "--v=nan", "--v"})
+    EXPECT_NE(error(bad, true).find("--v="), std::string::npos) << bad;
 }
 
 }  // namespace

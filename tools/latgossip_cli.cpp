@@ -10,9 +10,6 @@
 //                 [--curve-out=FILE.csv]
 //                 [--store=DIR [--store-verify]]
 //   latgossip game --m=N [--p=0.1] --strategy=<adaptive|systematic|random>
-//   latgossip serve --store=DIR --socket=PATH [--threads=T]
-//                   [--max-requests=N] [--quiet]
-//   latgossip query --socket=PATH (--req='{"op":…}' | --op=<name>)
 //
 // --store=DIR: content-addressed result cache (store/store.h). Each
 // trial's key is the canonical digest of (protocol, graph content,
@@ -24,13 +21,6 @@
 // hit. --store-verify recomputes every hit and fails loudly unless the
 // result is bit-identical to the cached record — the tripwire for
 // engine changes that forgot to bump kStoreModelVersion.
-//
-// serve/query: daemon + client for the same store over a Unix socket
-// (length-prefixed JSON frames; ops ping/stats/completion_time/
-// spread_curve/sweep/shutdown — see store/server.h and DESIGN.md §5j).
-// `query --op=ping` is shorthand for --req='{"op":"ping"}'; anything
-// with arguments goes through --req. The response JSON prints on
-// stdout; exit 0 iff the server answered {"ok":true,…}.
 //
 // run observability: --trace writes the event stream (Chrome trace JSON
 // when the name ends in .json, activation CSV otherwise; with trials>1
@@ -84,7 +74,7 @@ namespace {
 
 int usage() {
   std::fprintf(stderr,
-               "usage: latgossip <gen|analyze|run|game|serve|query> "
+               "usage: latgossip <gen|analyze|run|game> "
                "[--flags]\n"
                "see the header of tools/latgossip_cli.cpp for details\n");
   return 2;
@@ -229,9 +219,15 @@ int cmd_run(const Args& args) {
   const std::string proto_name = args.get("proto", "pushpull");
   const auto source = static_cast<NodeId>(args.get_int("source", 0));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  const auto trials = static_cast<std::size_t>(args.get_int("trials", 1));
+  const std::int64_t trials_flag = args.get_int("trials", 1);
+  if (trials_flag < 1)
+    throw std::invalid_argument("--trials must be at least 1");
+  const auto trials = static_cast<std::size_t>(trials_flag);
   // 0 = hardware concurrency; only consulted when trials > 1.
-  const auto threads = static_cast<std::size_t>(args.get_int("threads", 0));
+  const std::int64_t threads_flag = args.get_int("threads", 0);
+  if (threads_flag < 0)
+    throw std::invalid_argument("--threads must not be negative");
+  const auto threads = static_cast<std::size_t>(threads_flag);
   const Round max_rounds = args.get_int("max-rounds", 5'000'000);
   // Rumor-set representation for rumor-carrying protocols; kAuto is
   // resolved against the loaded graph's node count up front so the
@@ -599,34 +595,6 @@ int cmd_game(const Args& args) {
   return 0;
 }
 
-int cmd_serve(const Args& args) {
-  ServeOptions opts;
-  opts.store_dir = args.get("store", "");
-  opts.socket_path = args.get("socket", "");
-  opts.threads = static_cast<std::size_t>(args.get_int("threads", 0));
-  opts.max_requests =
-      static_cast<std::size_t>(args.get_int("max-requests", 0));
-  opts.quiet = args.get_bool("quiet");
-  if (opts.store_dir.empty() || opts.socket_path.empty()) return usage();
-  return run_server(opts);
-}
-
-int cmd_query(const Args& args) {
-  const std::string socket_path = args.get("socket", "");
-  std::string request = args.get("req", "");
-  if (request.empty()) {
-    // --op shorthand only covers argument-free ops; anything with a
-    // graph spec or cell list is real JSON and belongs in --req.
-    const std::string op = args.get("op", "");
-    if (op.empty()) return usage();
-    request = "{\"op\":\"" + op + "\"}";
-  }
-  if (socket_path.empty()) return usage();
-  const std::string response = query_server(socket_path, request);
-  std::printf("%s\n", response.c_str());
-  return response.compare(0, 10, "{\"ok\":true") == 0 ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -638,8 +606,6 @@ int main(int argc, char** argv) {
     if (command == "analyze") return cmd_analyze(args);
     if (command == "run") return cmd_run(args);
     if (command == "game") return cmd_game(args);
-    if (command == "serve") return cmd_serve(args);
-    if (command == "query") return cmd_query(args);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
